@@ -13,6 +13,8 @@
 #    `stream.*` / `log.*` / `accuracy.*` metric, span or log-event name
 #    the docs mention must occur in src/ — the observability vocabulary
 #    docs advertise is the one the code emits.
+# 5. No build output is tracked: `git ls-files` lists no CMakeCache.txt
+#    and no ELF file (skipped outside a git checkout).
 #
 # Exits non-zero listing every stale reference.
 
@@ -99,6 +101,24 @@ for doc in "${doc_files[@]}"; do
   done < <(grep -ho '`\(server\|planner\|estimator\|stream\|log\|accuracy\)\.[a-z0-9_.]*`' "$doc" \
              | tr -d '\`' | sort -u)
 done
+
+# --- 5. build output tracked by git ---------------------------------------
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  while IFS= read -r -d '' path; do
+    case "$path" in
+      CMakeCache.txt|*/CMakeCache.txt)
+        err "build output '$path' is tracked by git"
+        continue
+        ;;
+    esac
+    if [ -f "$path" ] \
+        && [ "$(head -c 4 -- "$path" | tr -d '\0')" = $'\x7fELF' ]; then
+      err "binary '$path' is tracked by git"
+    fi
+  done < <(git ls-files -z)
+else
+  echo "check_docs: not a git checkout, skipping the tracked-output check"
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED" >&2

@@ -15,14 +15,19 @@
 namespace sjsel {
 namespace {
 
-// Joint extent both per-dataset structures must share for a join estimate.
-Rect JointExtent(const Dataset& a, const Dataset& b) {
-  Rect extent = a.ComputeExtent();
-  extent.Extend(b.ComputeExtent());
-  return extent;
-}
+// Techniques whose per-dataset structures share the pair's joint extent:
+// Estimate computes it, EstimateWithin takes it from the caller.
+class JointExtentEstimator : public SelectivityEstimator {
+ public:
+  Result<EstimateOutcome> Estimate(const Dataset& a,
+                                   const Dataset& b) final {
+    Rect extent = a.ComputeExtent();
+    extent.Extend(b.ComputeExtent());
+    return EstimateWithin(a, b, extent);
+  }
+};
 
-class GhEstimator : public SelectivityEstimator {
+class GhEstimator : public JointExtentEstimator {
  public:
   explicit GhEstimator(int level) : level_(level) {}
 
@@ -30,10 +35,9 @@ class GhEstimator : public SelectivityEstimator {
     return "GH(level=" + std::to_string(level_) + ")";
   }
 
-  Result<EstimateOutcome> Estimate(const Dataset& a,
-                                   const Dataset& b) override {
+  Result<EstimateOutcome> EstimateWithin(const Dataset& a, const Dataset& b,
+                                         const Rect& extent) override {
     EstimateOutcome out;
-    const Rect extent = JointExtent(a, b);
     Timer timer;
     auto ha = GhHistogram::Build(a, extent, level_);
     if (!ha.ok()) return ha.status();
@@ -54,7 +58,7 @@ class GhEstimator : public SelectivityEstimator {
   int level_;
 };
 
-class PhEstimator : public SelectivityEstimator {
+class PhEstimator : public JointExtentEstimator {
  public:
   explicit PhEstimator(int level) : level_(level) {}
 
@@ -62,10 +66,9 @@ class PhEstimator : public SelectivityEstimator {
     return "PH(level=" + std::to_string(level_) + ")";
   }
 
-  Result<EstimateOutcome> Estimate(const Dataset& a,
-                                   const Dataset& b) override {
+  Result<EstimateOutcome> EstimateWithin(const Dataset& a, const Dataset& b,
+                                         const Rect& extent) override {
     EstimateOutcome out;
-    const Rect extent = JointExtent(a, b);
     Timer timer;
     auto ha = PhHistogram::Build(a, extent, level_);
     if (!ha.ok()) return ha.status();
@@ -86,17 +89,16 @@ class PhEstimator : public SelectivityEstimator {
   int level_;
 };
 
-class ParametricEstimator : public SelectivityEstimator {
+class ParametricEstimator : public JointExtentEstimator {
  public:
   std::string Name() const override { return "Parametric[AS94]"; }
 
-  Result<EstimateOutcome> Estimate(const Dataset& a,
-                                   const Dataset& b) override {
+  Result<EstimateOutcome> EstimateWithin(const Dataset& a, const Dataset& b,
+                                         const Rect& extent) override {
     if (a.empty() || b.empty()) {
       return Status::InvalidArgument("empty dataset");
     }
     EstimateOutcome out;
-    const Rect extent = JointExtent(a, b);
     Timer timer;
     const DatasetStats sa = DatasetStats::Compute(a, extent);
     const DatasetStats sb = DatasetStats::Compute(b, extent);
@@ -138,7 +140,7 @@ class SamplingSelectivityEstimator : public SelectivityEstimator {
   SamplingOptions options_;
 };
 
-class MinSkewEstimator : public SelectivityEstimator {
+class MinSkewEstimator : public JointExtentEstimator {
  public:
   explicit MinSkewEstimator(int num_buckets) : num_buckets_(num_buckets) {}
 
@@ -146,10 +148,9 @@ class MinSkewEstimator : public SelectivityEstimator {
     return "MinSkew(buckets=" + std::to_string(num_buckets_) + ")";
   }
 
-  Result<EstimateOutcome> Estimate(const Dataset& a,
-                                   const Dataset& b) override {
+  Result<EstimateOutcome> EstimateWithin(const Dataset& a, const Dataset& b,
+                                         const Rect& extent) override {
     EstimateOutcome out;
-    const Rect extent = JointExtent(a, b);
     Timer timer;
     auto ha = MinSkewHistogram::Build(a, extent, num_buckets_);
     if (!ha.ok()) return ha.status();

@@ -34,6 +34,16 @@ class SelectivityEstimator {
   /// predicate on MBRs).
   virtual Result<EstimateOutcome> Estimate(const Dataset& a,
                                            const Dataset& b) = 0;
+
+  /// The same estimate for a caller that already knows `extent`, the
+  /// bounding box of both inputs (what Estimate computes with two extent
+  /// passes). Techniques that need no extent ignore it.
+  virtual Result<EstimateOutcome> EstimateWithin(const Dataset& a,
+                                                 const Dataset& b,
+                                                 const Rect& extent) {
+    (void)extent;
+    return Estimate(a, b);
+  }
 };
 
 /// Geometric Histogram estimator at the given gridding level.

@@ -89,28 +89,84 @@ const char* EstimatorRungName(EstimatorRung rung) {
   return "unknown";
 }
 
-Result<EstimateResult> GuardedEstimator::Estimate(const Dataset& a,
-                                                  const Dataset& b) const {
-  SJSEL_TRACE_SPAN("estimate.guarded", "n_a=%zu n_b=%zu policy=%s", a.size(),
-                   b.size(), ValidationPolicyName(options_.policy));
-  SJSEL_METRIC_INC("estimator.estimates");
-  EstimateResult result;
-
-  // Validation pass: both inputs, against their joint extent. The extent is
-  // computed from finite coordinates only, so a handful of NaN/Inf rects
-  // cannot poison the frame every clean rect is judged against.
-  Rect extent = Rect::Empty();
-  for (const Dataset* ds : {&a, &b}) {
-    for (const Rect& r : ds->rects()) {
-      if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) extent.Extend(r);
+Result<PreparedInput> PrepareInput(const Dataset& dataset,
+                                   ValidationPolicy policy) {
+  SJSEL_TRACE_SPAN("estimate.prepare", "dataset=%s rects=%zu policy=%s",
+                   dataset.name().c_str(), dataset.size(),
+                   ValidationPolicyName(policy));
+  PreparedInput in;
+  in.source = &dataset;
+  in.policy = policy;
+  // The extent comes from finite, well-formed rects only, so a handful of
+  // NaN/Inf rects cannot poison the frame the clean ones are judged in.
+  bool clean = true;
+  for (const Rect& r : dataset.rects()) {
+    if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) {
+      in.extent.Extend(r);
+    } else {
+      clean = false;
     }
   }
-  Dataset va;
-  SJSEL_ASSIGN_OR_RETURN(
-      va, ValidateDataset(a, extent, options_.policy, &result.validation_a));
-  Dataset vb;
-  SJSEL_ASSIGN_OR_RETURN(
-      vb, ValidateDataset(b, extent, options_.policy, &result.validation_b));
+  if (clean) {
+    in.counters.checked = dataset.size();
+    SJSEL_METRIC_ADD("validate.checked", dataset.size());
+    return in;
+  }
+  Dataset validated;
+  SJSEL_ASSIGN_OR_RETURN(validated, ValidateDataset(dataset, in.extent, policy,
+                                                    &in.counters));
+  in.validated = std::move(validated);
+  return in;
+}
+
+Result<EstimateResult> GuardedEstimator::Estimate(const Dataset& a,
+                                                  const Dataset& b) const {
+  PreparedInput pa;
+  SJSEL_ASSIGN_OR_RETURN(pa, PrepareInput(a, options_.policy));
+  PreparedInput pb;
+  SJSEL_ASSIGN_OR_RETURN(pb, PrepareInput(b, options_.policy));
+  return Estimate(pa, pb);
+}
+
+Result<EstimateResult> GuardedEstimator::Estimate(
+    const PreparedInput& a, const PreparedInput& b) const {
+  if (a.policy != options_.policy || b.policy != options_.policy) {
+    return Status::InvalidArgument(
+        std::string("inputs prepared under another validation policy than "
+                    "the estimator's '") +
+        ValidationPolicyName(options_.policy) + "'");
+  }
+  SJSEL_TRACE_SPAN("estimate.guarded", "n_a=%zu n_b=%zu policy=%s",
+                   a.source->size(), b.source->size(),
+                   ValidationPolicyName(options_.policy));
+  SJSEL_METRIC_INC("estimator.estimates");
+  EstimateResult result;
+  result.validation_a = a.counters;
+  result.validation_b = b.counters;
+
+  // The frame every rung shares: the joint extent of both inputs.
+  Rect extent = a.extent;
+  extent.Extend(b.extent);
+  const Dataset* va_ptr = &a.rects();
+  const Dataset* vb_ptr = &b.rects();
+  // A clamped inverted rect is clipped to the pair's joint extent, so such
+  // an input is validated again here, against this pair's frame.
+  Dataset pair_a;
+  Dataset pair_b;
+  if (a.PairDependent() || b.PairDependent()) {
+    SJSEL_ASSIGN_OR_RETURN(pair_a,
+                           ValidateDataset(*a.source, extent, options_.policy,
+                                           &result.validation_a));
+    SJSEL_ASSIGN_OR_RETURN(pair_b,
+                           ValidateDataset(*b.source, extent, options_.policy,
+                                           &result.validation_b));
+    va_ptr = &pair_a;
+    vb_ptr = &pair_b;
+    extent = pair_a.ComputeExtent();
+    extent.Extend(pair_b.ComputeExtent());
+  }
+  const Dataset& va = *va_ptr;
+  const Dataset& vb = *vb_ptr;
 
   // An input that is empty (or empty after quarantine) joins with nothing;
   // a zero estimate is the correct, finite, in-range answer.
@@ -165,7 +221,7 @@ Result<EstimateResult> GuardedEstimator::Estimate(const Dataset& a,
     trial.label = estimator->Name();
     Result<EstimateOutcome> outcome = Status::Internal("rung not run");
     try {
-      outcome = estimator->Estimate(va, vb);
+      outcome = estimator->EstimateWithin(va, vb, extent);
     } catch (const std::exception&) {
       // Injected worker faults surface here as FaultInjectedError rethrown
       // by ParallelFor; treat any rung exception as that rung failing.

@@ -2,6 +2,7 @@
 #define SJSEL_CORE_GUARDED_ESTIMATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,46 @@ struct GuardedEstimatorOptions {
   ValidationPolicy policy = ValidationPolicy::kQuarantine;
 };
 
+/// One input of pair estimates, validated by itself once (PrepareInput),
+/// so that each pair it takes part in only joins two stored extents
+/// instead of re-validating and re-scanning both datasets.
+///
+/// Under kQuarantine and kReject every well-formed rect lies inside any
+/// pair's joint extent, so validating against the dataset's own rects
+/// gives the answer per-pair validation would. The one exception is
+/// kClampToExtent with inverted rects: their repair clips to the pair's
+/// joint extent, so GuardedEstimator re-validates such an input per pair
+/// from `source` (see PairDependent).
+struct PreparedInput {
+  /// The dataset as given. Borrowed: it must outlive this object.
+  const Dataset* source = nullptr;
+  /// The validated copy, present only when validation dropped or repaired
+  /// a rect; a clean input is used in place.
+  std::optional<Dataset> validated;
+  /// Bounding box of the well-formed (finite, not inverted) rects of
+  /// `source`, which is also the bounding box of the validated rects
+  /// unless PairDependent().
+  Rect extent = Rect::Empty();
+  /// Validation tallies of the pass against the dataset's own rects.
+  RobustnessCounters counters;
+  ValidationPolicy policy = ValidationPolicy::kQuarantine;
+
+  /// The rects the estimators consume.
+  const Dataset& rects() const { return validated ? *validated : *source; }
+
+  /// True when the validated rects depend on the partner: a clamp repair
+  /// of an inverted rect clips it to the pair's joint extent.
+  bool PairDependent() const {
+    return policy == ValidationPolicy::kClampToExtent && counters.inverted > 0;
+  }
+};
+
+/// Validates `dataset` by itself under `policy`, with one classification
+/// pass and no copy when it is clean. Fails under kReject with the same
+/// error ValidateDataset gives for the first defective rect.
+Result<PreparedInput> PrepareInput(const Dataset& dataset,
+                                   ValidationPolicy policy);
+
 /// Guardrailed facade over the whole estimator family. Every estimate is
 /// validated before use: non-finite, negative and out-of-range values trip
 /// a guard, and any guard trip, error Status, injected fault or exception
@@ -122,7 +163,15 @@ class GuardedEstimator {
   explicit GuardedEstimator(GuardedEstimatorOptions options = {})
       : options_(options) {}
 
+  /// Prepares both inputs (a first, so a kReject error names a's rect
+  /// when both are defective) and estimates them.
   Result<EstimateResult> Estimate(const Dataset& a, const Dataset& b) const;
+
+  /// The estimation path: both inputs must have been prepared under
+  /// options().policy. Bit-identical to validating both datasets against
+  /// their joint extent and running the chain on the result.
+  Result<EstimateResult> Estimate(const PreparedInput& a,
+                                  const PreparedInput& b) const;
 
   const GuardedEstimatorOptions& options() const { return options_; }
 

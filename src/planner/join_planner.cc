@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/json.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -168,40 +167,95 @@ bool MultiJoinPlan::degraded() const {
   return false;
 }
 
+Status CheckPlanInputs(const std::vector<PlannerInput>& inputs) {
+  if (inputs.size() < 2) {
+    return Status::InvalidArgument("plan needs at least two datasets");
+  }
+  if (inputs.size() > 24) {
+    return Status::InvalidArgument("plan supports at most 24 datasets");
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].dataset == nullptr) {
+      return Status::InvalidArgument("null dataset");
+    }
+    if (inputs[i].label.empty()) {
+      return Status::InvalidArgument("plan inputs need non-empty labels");
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (inputs[j].label == inputs[i].label) {
+        return Status::InvalidArgument("duplicate dataset label '" +
+                                       inputs[i].label + "'");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<MultiJoinPlan> PlanFromPairEstimates(
+    const std::vector<PlannerInput>& inputs,
+    const std::vector<Result<EstimateResult>>& pair_estimates,
+    const PlannerOptions& options) {
+  SJSEL_TRACE_SPAN("planner.search", "k=%zu", inputs.size());
+  SJSEL_METRIC_INC("planner.plans");
+  SJSEL_RETURN_IF_ERROR(CheckPlanInputs(inputs));
+  const size_t k = inputs.size();
+  if (pair_estimates.size() != k * (k - 1) / 2) {
+    return Status::InvalidArgument("plan over " + std::to_string(k) +
+                                   " inputs needs " +
+                                   std::to_string(k * (k - 1) / 2) +
+                                   " pair estimates");
+  }
+  MultiJoinPlan plan;
+  for (const PlannerInput& input : inputs) {
+    plan.inputs.push_back(input.label);
+    plan.input_sizes.push_back(input.dataset->size());
+  }
+  size_t idx = 0;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = i + 1; j < k; ++j, ++idx) {
+      const Result<EstimateResult>& result = pair_estimates[idx];
+      if (!result.ok()) {
+        return Status(result.status().code(),
+                      "pair " + plan.inputs[i] + " * " + plan.inputs[j] +
+                          ": " + result.status().message());
+      }
+      const EstimateResult& est = *result;
+      PairSelectivity pair;
+      pair.i = i;
+      pair.j = j;
+      pair.estimated_pairs = est.outcome.estimated_pairs;
+      pair.selectivity = est.outcome.selectivity;
+      pair.rung = est.rung;
+      pair.rung_label = est.rung_label;
+      pair.degradation_reason = est.degradation_reason;
+      pair.clamped = est.clamped;
+      plan.pairs.push_back(std::move(pair));
+      SJSEL_METRIC_INC("planner.pairs.estimated");
+      if (est.degraded()) SJSEL_METRIC_INC("planner.pairs.degraded");
+    }
+  }
+
+  const int dp_limit = std::min(options.dp_limit, 16);
+  if (k <= static_cast<size_t>(std::max(dp_limit, 2))) {
+    PlanDp(plan.input_sizes, plan.pairs, k, plan.inputs, &plan);
+  } else {
+    PlanGreedy(plan.input_sizes, plan.pairs, k, plan.inputs, &plan);
+  }
+  if (plan.degraded()) SJSEL_METRIC_INC("planner.plans.degraded");
+  return plan;
+}
+
 Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
                                     const PlannerOptions& options) {
   SJSEL_TRACE_SPAN("planner.plan", "k=%zu threads=%d", inputs.size(),
                    options.threads);
-  SJSEL_METRIC_INC("planner.plans");
   SJSEL_METRIC_SCOPED_LATENCY("planner.plan_us");
+  SJSEL_RETURN_IF_ERROR(CheckPlanInputs(inputs));
   const size_t k = inputs.size();
-  if (k < 2) {
-    return Status::InvalidArgument("plan needs at least two datasets");
-  }
-  if (k > 24) {
-    return Status::InvalidArgument("plan supports at most 24 datasets");
-  }
-  MultiJoinPlan plan;
-  for (const PlannerInput& input : inputs) {
-    if (input.dataset == nullptr) {
-      return Status::InvalidArgument("null dataset");
-    }
-    if (input.label.empty()) {
-      return Status::InvalidArgument("plan inputs need non-empty labels");
-    }
-    for (const std::string& seen : plan.inputs) {
-      if (seen == input.label) {
-        return Status::InvalidArgument("duplicate dataset label '" +
-                                       input.label + "'");
-      }
-    }
-    plan.inputs.push_back(input.label);
-    plan.input_sizes.push_back(input.dataset->size());
-  }
 
-  // Every pairwise selectivity, from the guarded chain. Pair order (and
-  // therefore all downstream output) is fixed by index; threads only
-  // change who computes which pair.
+  // Every pairwise selectivity, from the guarded chain over inputs each
+  // validated once. Pair order (and therefore all downstream output) is
+  // fixed by index; threads only change who computes which pair.
   std::vector<std::pair<size_t, size_t>> pair_ids;
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = i + 1; j < k; ++j) pair_ids.emplace_back(i, j);
@@ -212,6 +266,11 @@ Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
   {
     SJSEL_TRACE_SPAN("planner.pair_estimates", "pairs=%zu",
                      pair_ids.size());
+    std::vector<Result<PreparedInput>> prepared;
+    for (const PlannerInput& input : inputs) {
+      prepared.push_back(
+          PrepareInput(*input.dataset, options.estimator.policy));
+    }
     std::unique_ptr<ThreadPool> pool;
     if (options.threads > 1) {
       pool = std::make_unique<ThreadPool>(options.threads);
@@ -223,41 +282,19 @@ Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
                     const auto [i, j] = pair_ids[idx];
                     SJSEL_TRACE_SPAN("planner.pair_estimate", "i=%zu j=%zu",
                                      i, j);
-                    results[idx] = estimator.Estimate(*inputs[i].dataset,
-                                                      *inputs[j].dataset);
+                    // Input i's error first, as Estimate(a, b) reports a's.
+                    if (!prepared[i].ok()) {
+                      results[idx] = prepared[i].status();
+                    } else if (!prepared[j].ok()) {
+                      results[idx] = prepared[j].status();
+                    } else {
+                      results[idx] =
+                          estimator.Estimate(*prepared[i], *prepared[j]);
+                    }
                   }
                 });
   }
-  for (size_t idx = 0; idx < pair_ids.size(); ++idx) {
-    const auto [i, j] = pair_ids[idx];
-    if (!results[idx].ok()) {
-      return Status(results[idx].status().code(),
-                    "pair " + plan.inputs[i] + " * " + plan.inputs[j] + ": " +
-                        results[idx].status().message());
-    }
-    const EstimateResult& est = *results[idx];
-    PairSelectivity pair;
-    pair.i = i;
-    pair.j = j;
-    pair.estimated_pairs = est.outcome.estimated_pairs;
-    pair.selectivity = est.outcome.selectivity;
-    pair.rung = est.rung;
-    pair.rung_label = est.rung_label;
-    pair.degradation_reason = est.degradation_reason;
-    pair.clamped = est.clamped;
-    plan.pairs.push_back(std::move(pair));
-    SJSEL_METRIC_INC("planner.pairs.estimated");
-    if (est.degraded()) SJSEL_METRIC_INC("planner.pairs.degraded");
-  }
-
-  const int dp_limit = std::min(options.dp_limit, 16);
-  if (k <= static_cast<size_t>(std::max(dp_limit, 2))) {
-    PlanDp(plan.input_sizes, plan.pairs, k, plan.inputs, &plan);
-  } else {
-    PlanGreedy(plan.input_sizes, plan.pairs, k, plan.inputs, &plan);
-  }
-  if (plan.degraded()) SJSEL_METRIC_INC("planner.plans.degraded");
-  return plan;
+  return PlanFromPairEstimates(inputs, results, options);
 }
 
 std::string RenderPlanText(const MultiJoinPlan& plan) {
@@ -291,7 +328,7 @@ std::string RenderPlanText(const MultiJoinPlan& plan) {
   return out;
 }
 
-std::string RenderPlanJson(const MultiJoinPlan& plan) {
+JsonValue PlanJson(const MultiJoinPlan& plan) {
   JsonValue root = JsonValue::Object();
   JsonValue inputs = JsonValue::Array();
   for (size_t i = 0; i < plan.inputs.size(); ++i) {
@@ -329,7 +366,11 @@ std::string RenderPlanJson(const MultiJoinPlan& plan) {
   root.Set("cost", JsonValue::Number(plan.cost));
   root.Set("algorithm", JsonValue::String(plan.algorithm));
   root.Set("degraded", JsonValue::Bool(plan.degraded()));
-  return root.Dump();
+  return root;
+}
+
+std::string RenderPlanJson(const MultiJoinPlan& plan) {
+  return PlanJson(plan).Dump();
 }
 
 }  // namespace sjsel

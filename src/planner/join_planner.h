@@ -24,6 +24,7 @@
 
 #include "core/guarded_estimator.h"
 #include "geom/dataset.h"
+#include "util/json.h"
 #include "util/result.h"
 
 namespace sjsel {
@@ -92,9 +93,26 @@ struct MultiJoinPlan {
   bool degraded() const;
 };
 
-/// Plans a multi-way spatial join over `inputs` (datasets borrowed; at
-/// least two, unique non-empty labels). Deterministic: identical inputs
-/// and options produce an identical plan for every `threads` value.
+/// Checks planner inputs: 2 to 24 of them, each with a dataset and a
+/// unique non-empty label.
+Status CheckPlanInputs(const std::vector<PlannerInput>& inputs);
+
+/// The join-order search over pair estimates the caller already has.
+/// `pair_estimates` holds the guarded estimate of inputs i * j for every
+/// i < j, in (i, j) order: (0,1), (0,2), ..., (1,2), ... The first failed
+/// estimate in that order fails the plan. `options.estimator` and
+/// `options.threads` are not used here. The server runs this search over
+/// its cached pair estimates.
+Result<MultiJoinPlan> PlanFromPairEstimates(
+    const std::vector<PlannerInput>& inputs,
+    const std::vector<Result<EstimateResult>>& pair_estimates,
+    const PlannerOptions& options = {});
+
+/// Plans a multi-way spatial join over `inputs` (datasets borrowed; see
+/// CheckPlanInputs): prepares each input once, estimates every pair with
+/// the guarded chain, then runs PlanFromPairEstimates. Deterministic:
+/// identical inputs and options produce an identical plan for every
+/// `threads` value.
 Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
                                     const PlannerOptions& options = {});
 
@@ -103,8 +121,12 @@ Result<MultiJoinPlan> PlanMultiJoin(const std::vector<PlannerInput>& inputs,
 /// the two outputs can be diffed directly.
 std::string RenderPlanText(const MultiJoinPlan& plan);
 
-/// Machine-readable rendering (deterministic; numbers round-trip at full
-/// precision). Schema in docs/PLANNER.md.
+/// Machine-readable form (deterministic; numbers round-trip at full
+/// precision). Schema in docs/PLANNER.md. The server nests it in its
+/// response as is.
+JsonValue PlanJson(const MultiJoinPlan& plan);
+
+/// PlanJson, dumped.
 std::string RenderPlanJson(const MultiJoinPlan& plan);
 
 }  // namespace sjsel

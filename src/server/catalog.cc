@@ -8,12 +8,12 @@
 namespace sjsel {
 namespace server {
 
-Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
+Result<std::shared_ptr<const ServerCatalog::Entry>> ServerCatalog::GetEntry(
     const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = datasets_.find(path);
-    if (it != datasets_.end()) {
+    const auto it = entries_.find(path);
+    if (it != entries_.end()) {
       SJSEL_METRIC_INC("server.catalog.dataset_hits");
       return it->second;
     }
@@ -22,13 +22,23 @@ Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
   SJSEL_TRACE_SPAN("server.catalog.load_dataset");
   auto loaded = Dataset::Load(path);
   if (!loaded.ok()) return loaded.status();
-  auto shared = std::make_shared<const Dataset>(std::move(loaded).value());
+  // Built in place: the prepared input borrows the entry's own dataset.
+  auto entry = std::make_shared<Entry>();
+  entry->dataset = std::move(loaded).value();
+  entry->prepared = PrepareInput(entry->dataset, estimator_.options().policy);
   std::lock_guard<std::mutex> lock(mu_);
   // Two workers may race to load the same path; both get the same bytes,
   // so first-in wins and the loser's copy is dropped.
-  const auto [it, inserted] = datasets_.emplace(path, std::move(shared));
+  const auto [it, inserted] = entries_.emplace(path, std::move(entry));
   (void)inserted;
   return it->second;
+}
+
+Result<std::shared_ptr<const Dataset>> ServerCatalog::GetDataset(
+    const std::string& path) {
+  std::shared_ptr<const Entry> entry;
+  SJSEL_ASSIGN_OR_RETURN(entry, GetEntry(path));
+  return std::shared_ptr<const Dataset>(entry, &entry->dataset);
 }
 
 Result<EstimateResult> ServerCatalog::Estimate(const std::string& a,
@@ -43,14 +53,16 @@ Result<EstimateResult> ServerCatalog::Estimate(const std::string& a,
     }
   }
   SJSEL_METRIC_INC("server.catalog.estimate_misses");
-  std::shared_ptr<const Dataset> da;
-  SJSEL_ASSIGN_OR_RETURN(da, GetDataset(a));
-  std::shared_ptr<const Dataset> db;
-  SJSEL_ASSIGN_OR_RETURN(db, GetDataset(b));
+  std::shared_ptr<const Entry> ea;
+  SJSEL_ASSIGN_OR_RETURN(ea, GetEntry(a));
+  std::shared_ptr<const Entry> eb;
+  SJSEL_ASSIGN_OR_RETURN(eb, GetEntry(b));
+  if (!ea->prepared.ok()) return ea->prepared.status();
+  if (!eb->prepared.ok()) return eb->prepared.status();
   // Estimated outside the lock: concurrent first requests for the same
   // pair may both compute, but the chain is deterministic, so whichever
   // result lands in the cache is the same value.
-  auto result = estimator_.Estimate(*da, *db);
+  auto result = estimator_.Estimate(*ea->prepared, *eb->prepared);
   if (!result.ok()) return result.status();
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = estimates_.emplace(key, std::move(result).value());
@@ -93,7 +105,7 @@ Result<std::shared_ptr<stream::StreamIngest>> ServerCatalog::InitStream(
 ServerCatalog::CacheStats ServerCatalog::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats stats;
-  stats.datasets = datasets_.size();
+  stats.datasets = entries_.size();
   stats.estimates = estimates_.size();
   stats.streams = streams_.size();
   for (const auto& [dir, ingest] : streams_) {

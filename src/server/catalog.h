@@ -1,10 +1,11 @@
 #ifndef SJSEL_SERVER_CATALOG_H_
 #define SJSEL_SERVER_CATALOG_H_
 
-// The daemon-side catalog: datasets loaded once per path and pair
-// estimates computed once per (a, b), both kept for the server's
-// lifetime so an optimizer calling `estimate` millions of times pays
-// the load/build cost once. Thread-safe; see docs/SERVER.md "Catalog".
+// The daemon-side catalog: datasets loaded and validated once per path
+// and pair estimates computed once per (a, b), both kept for the
+// server's lifetime so an optimizer calling `estimate` or `plan`
+// millions of times pays the load/validate/build cost once. Thread-safe;
+// see docs/SERVER.md "The catalog".
 //
 // Distinct from src/engine/catalog.h (the single-threaded, in-process
 // SDBMS catalog keyed by dataset *name* over one workspace extent):
@@ -31,14 +32,29 @@ class ServerCatalog {
   explicit ServerCatalog(GuardedEstimatorOptions options = {})
       : estimator_(options) {}
 
-  /// The dataset at `path`, loading and caching it on first use.
+  /// One loaded path: the dataset, and its input to the guarded chain,
+  /// prepared once under the catalog's validation policy (an error when
+  /// kReject finds a defect; the dataset itself still serves `stats`).
+  struct Entry {
+    Entry() = default;
+    Entry(const Entry&) = delete;  // `prepared` points into `dataset`
+    Entry& operator=(const Entry&) = delete;
+
+    Dataset dataset;
+    Result<PreparedInput> prepared = Status::Internal("not prepared");
+  };
+
+  /// The entry for `path`, loading and preparing it on first use.
   /// Counts `server.catalog.dataset_hits` / `.dataset_misses`.
+  Result<std::shared_ptr<const Entry>> GetEntry(const std::string& path);
+
+  /// The dataset of GetEntry(path), sharing the entry's ownership.
   Result<std::shared_ptr<const Dataset>> GetDataset(const std::string& path);
 
-  /// The guarded-chain estimate for the dataset pair, cached by path
-  /// pair. The estimator runs with the options this catalog was built
-  /// with (defaults match the CLI `estimate` command, so cached answers
-  /// are bit-for-bit the standalone ones). Counts
+  /// The guarded-chain estimate for the dataset pair, cached by the
+  /// ordered path pair (a, b). The estimator runs with the options this
+  /// catalog was built with (defaults match the CLI `estimate` command,
+  /// so cached answers are bit-for-bit the standalone ones). Counts
   /// `server.catalog.estimate_hits` / `.estimate_misses`.
   Result<EstimateResult> Estimate(const std::string& a, const std::string& b);
 
@@ -70,7 +86,7 @@ class ServerCatalog {
  private:
   GuardedEstimator estimator_;
   mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const Dataset>> datasets_;
+  std::map<std::string, std::shared_ptr<const Entry>> entries_;
   std::map<std::pair<std::string, std::string>, EstimateResult> estimates_;
   std::map<std::string, std::shared_ptr<stream::StreamIngest>> streams_;
 };

@@ -600,14 +600,19 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       keep_alive.push_back(*ds);
       inputs.push_back(PlannerInput{path, keep_alive.back().get()});
     }
-    PlannerOptions options;
-    options.estimator = options_.estimator;
-    const auto plan = PlanMultiJoin(inputs, options);
+    const Status checked = CheckPlanInputs(inputs);
+    if (!checked.ok()) return fail_status(checked);
+    // Pairs come from the catalog's (a, b) cache, which `estimate` fills
+    // too, in the (i, j) order PlanMultiJoin would estimate them.
+    std::vector<Result<EstimateResult>> pair_estimates;
+    for (size_t i = 0; i < req.paths.size(); ++i) {
+      for (size_t j = i + 1; j < req.paths.size(); ++j) {
+        pair_estimates.push_back(catalog_.Estimate(req.paths[i], req.paths[j]));
+      }
+    }
+    const auto plan = PlanFromPairEstimates(inputs, pair_estimates);
     if (!plan.ok()) return fail_status(plan.status());
-    auto plan_json = JsonValue::Parse(RenderPlanJson(*plan));
-    if (!plan_json.ok()) return fail_status(plan_json.status());
-    return answered(
-        JsonValue::Object().Set("plan", std::move(plan_json).value()));
+    return answered(JsonValue::Object().Set("plan", PlanJson(*plan)));
   }
 
   if (req.op == "ingest") {

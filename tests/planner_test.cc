@@ -71,6 +71,59 @@ TEST_F(PlannerTest, PairEstimatesMatchStandaloneEstimatorBitForBit) {
   }
 }
 
+TEST_F(PlannerTest, SearchOverGivenPairsEqualsPlanMultiJoin) {
+  PlannerOptions options;
+  const std::vector<PlannerInput> inputs = Inputs(4);
+  const GuardedEstimator estimator(options.estimator);
+  std::vector<Result<EstimateResult>> pair_estimates;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    for (size_t j = i + 1; j < inputs.size(); ++j) {
+      pair_estimates.push_back(
+          estimator.Estimate(*inputs[i].dataset, *inputs[j].dataset));
+    }
+  }
+  const auto searched = PlanFromPairEstimates(inputs, pair_estimates, options);
+  ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+  for (const int threads : {1, 2, 4}) {
+    options.threads = threads;
+    const auto planned = PlanMultiJoin(inputs, options);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    EXPECT_EQ(RenderPlanJson(*searched), RenderPlanJson(*planned))
+        << "threads=" << threads;
+  }
+
+  // The first failed pair in (i, j) order fails the plan, named.
+  pair_estimates[4] = Status::InvalidArgument("bad pair");
+  pair_estimates[5] = Status::Internal("later pair");
+  const auto failed = PlanFromPairEstimates(inputs, pair_estimates, options);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(failed.status().message(), "pair b.ds * d.ds: bad pair");
+  pair_estimates.pop_back();
+  EXPECT_FALSE(PlanFromPairEstimates(inputs, pair_estimates, options).ok());
+}
+
+TEST_F(PlannerTest, RejectPolicyNamesTheFirstDefectivePair) {
+  // Input c carries a NaN rect: pair (a, b) is fine, (a, c) is the first
+  // pair in (i, j) order to fail, with c's validation error.
+  Dataset defective = datasets_[2];
+  defective.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 1, 1));
+  std::vector<PlannerInput> inputs = Inputs(4);
+  inputs[2].dataset = &defective;
+  PlannerOptions options;
+  options.estimator.policy = ValidationPolicy::kReject;
+  const auto direct = GuardedEstimator(options.estimator)
+                          .Estimate(*inputs[0].dataset, defective);
+  ASSERT_FALSE(direct.ok());
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    const auto plan = PlanMultiJoin(inputs, options);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().message(),
+              "pair a.ds * c.ds: " + direct.status().message());
+  }
+}
+
 TEST_F(PlannerTest, IdenticalPlanJsonForEveryThreadCount) {
   PlannerOptions options;
   options.threads = 1;

@@ -61,6 +61,19 @@ class ServerTest : public ::testing::Test {
     return parsed.ok() ? std::move(parsed).value() : JsonValue::Null();
   }
 
+  // A counter from the server's lifetime metrics (0 when never counted).
+  double Counter(Server* server, const std::string& name) {
+    const JsonValue response = Handle(server, R"({"op":"stats"})");
+    const JsonValue* result = response.Find("result");
+    const JsonValue* metrics =
+        result != nullptr ? result->Find("metrics") : nullptr;
+    const JsonValue* counters =
+        metrics != nullptr ? metrics->Find("counters") : nullptr;
+    const JsonValue* value =
+        counters != nullptr ? counters->Find(name) : nullptr;
+    return value != nullptr ? value->number_value() : 0.0;
+  }
+
   static std::string ErrorCode(const JsonValue& response) {
     const JsonValue* error = response.Find("error");
     if (error == nullptr || error->Find("code") == nullptr) return "";
@@ -167,6 +180,40 @@ TEST_F(ServerTest, PlanMatchesInProcessPlanner) {
   const auto expected = JsonValue::Parse(RenderPlanJson(*plan));
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(plan_json->Dump(), expected->Dump());
+}
+
+TEST_F(ServerTest, RepeatedPlanIsAnsweredFromThePairCache) {
+  Server server(ServerOptions{});
+  const std::string plan = R"({"op":"plan","paths":[")" + a_path_ +
+                           R"(",")" + b_path_ + R"(",")" + c_path_ + R"("]})";
+  const JsonValue first = Handle(&server, plan);
+  ASSERT_TRUE(first.Find("ok")->bool_value()) << ErrorCode(first);
+  const double builds = Counter(&server, "hist.gh.builds");
+  const double hits = Counter(&server, "server.catalog.estimate_hits");
+  const JsonValue second = Handle(&server, plan);
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << ErrorCode(second);
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds);
+  EXPECT_EQ(Counter(&server, "server.catalog.estimate_hits"), hits + 3.0);
+  EXPECT_EQ(second.Find("result")->Dump(), first.Find("result")->Dump());
+}
+
+TEST_F(ServerTest, PlanReusesAPairEstimateAlreadyServed) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(Handle(&server, R"({"op":"estimate","a":")" + a_path_ +
+                                  R"(","b":")" + b_path_ + R"("})")
+                  .Find("ok")
+                  ->bool_value());
+  const double builds = Counter(&server, "hist.gh.builds");
+  const double hits = Counter(&server, "server.catalog.estimate_hits");
+  const double misses = Counter(&server, "server.catalog.estimate_misses");
+  const JsonValue response = Handle(
+      &server, R"({"op":"plan","paths":[")" + a_path_ + R"(",")" + b_path_ +
+                   R"(",")" + c_path_ + R"("]})");
+  ASSERT_TRUE(response.Find("ok")->bool_value()) << ErrorCode(response);
+  // (a, b) is a hit; (a, c) and (b, c) are built, two histograms each.
+  EXPECT_EQ(Counter(&server, "server.catalog.estimate_hits"), hits + 1.0);
+  EXPECT_EQ(Counter(&server, "server.catalog.estimate_misses"), misses + 2.0);
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 4.0);
 }
 
 TEST_F(ServerTest, StatsWithPathReportsDatasetStatistics) {
