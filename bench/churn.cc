@@ -179,14 +179,16 @@ int Run(bool smoke) {
   double reader_ns = 0.0;
   std::thread reader([&] {
     const double r0 = NowNs();
-    while (!done.load(std::memory_order_relaxed)) {
+    // At least one estimate, so the row exists even when the writer
+    // finishes every op before this thread first runs.
+    do {
       // snapshot() is the whole point: an immutable (base + sealed
       // deltas) view the writer never mutates under us.
       const auto snap = ingest->snapshot();
       const auto pairs = EstimateGhJoinPairs(snap->gh, *probe);
       if (!pairs.ok()) break;
       reads.fetch_add(1, std::memory_order_relaxed);
-    }
+    } while (!done.load(std::memory_order_relaxed));
     reader_ns = NowNs() - r0;
   });
 

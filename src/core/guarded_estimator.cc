@@ -1,16 +1,28 @@
 #include "core/guarded_estimator.h"
 
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <utility>
 
+#include "core/gh_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
 namespace sjsel {
+
+// One input's GH summary: the histogram of its rects on the grid it was
+// last built for, which is also its key. `mu` guards `hist` and is held
+// across a build.
+struct GhSummarySlot {
+  std::mutex mu;
+  std::shared_ptr<const GhHistogram> hist;
+};
+
 namespace {
 
 // Span names must be string literals (the tracer keeps the pointer), so
@@ -73,7 +85,82 @@ std::unique_ptr<SelectivityEstimator> MakeRung(
   return nullptr;
 }
 
+bool SameBits(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
+// Grids match only on bitwise-equal extents, so two extents that merely
+// compare equal (0.0 and -0.0) never share a summary.
+bool SameGrid(const Rect& x, const Rect& y) {
+  return SameBits(x.min_x, y.min_x) && SameBits(x.min_y, y.min_y) &&
+         SameBits(x.max_x, y.max_x) && SameBits(x.max_y, y.max_y);
+}
+
+// A summary is kept only when it is no larger than the rects it
+// summarizes: 4^level cells of four doubles each, against rects of four
+// doubles each. The level check only keeps the shift defined; Build
+// rejects levels above 15, and a failed build is never stored.
+bool WorthKeeping(size_t rects, int level) {
+  return level >= 0 && level < 32 &&
+         rects >= (uint64_t{1} << (2 * level));
+}
+
+Result<std::shared_ptr<const GhHistogram>> BuildGh(const Dataset& rects,
+                                                   const Rect& extent,
+                                                   int level) {
+  auto built = GhHistogram::Build(rects, extent, level);
+  if (!built.ok()) return built.status();
+  return std::make_shared<const GhHistogram>(std::move(built).value());
+}
+
+// The GH histogram of `rects` on the (extent, level) grid: the slot's
+// summary when it was built on that grid, else a build, which replaces
+// the summary when the input is WorthKeeping. A null `slot` (rects that
+// are not the input's own) builds and keeps nothing.
+Result<std::shared_ptr<const GhHistogram>> GhHistogramOf(
+    GhSummarySlot* slot, const Dataset& rects, const Rect& extent,
+    int level) {
+  if (slot == nullptr || !WorthKeeping(rects.size(), level)) {
+    return BuildGh(rects, extent, level);
+  }
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->hist != nullptr && slot->hist->grid().level() == level &&
+      SameGrid(slot->hist->grid().extent(), extent)) {
+    SJSEL_METRIC_INC("hist.gh.summary_hits");
+    return slot->hist;
+  }
+  auto built = BuildGh(rects, extent, level);
+  if (built.ok()) slot->hist = *built;
+  return built;
+}
+
+// The GH rung: GhEstimator's estimate, with each side's histogram from
+// GhHistogramOf. The slots are taken one at a time. The chain sets the
+// selectivity from the range-checked pair count.
+Result<EstimateOutcome> EstimateGh(const Dataset& a, GhSummarySlot* slot_a,
+                                   const Dataset& b, GhSummarySlot* slot_b,
+                                   const Rect& extent, int level) {
+  EstimateOutcome out;
+  Timer timer;
+  std::shared_ptr<const GhHistogram> ha;
+  SJSEL_ASSIGN_OR_RETURN(ha, GhHistogramOf(slot_a, a, extent, level));
+  std::shared_ptr<const GhHistogram> hb;
+  SJSEL_ASSIGN_OR_RETURN(hb, GhHistogramOf(slot_b, b, extent, level));
+  out.prepare_seconds = timer.ElapsedSeconds();
+
+  timer.Reset();
+  SJSEL_ASSIGN_OR_RETURN(out.estimated_pairs, EstimateGhJoinPairs(*ha, *hb));
+  out.estimate_seconds = timer.ElapsedSeconds();
+  return out;
+}
+
 }  // namespace
+
+std::shared_ptr<const GhHistogram> PreparedInput::GhSummary() const {
+  if (gh_slot == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(gh_slot->mu);
+  return gh_slot->hist;
+}
 
 const char* EstimatorRungName(EstimatorRung rung) {
   switch (rung) {
@@ -97,6 +184,7 @@ Result<PreparedInput> PrepareInput(const Dataset& dataset,
   PreparedInput in;
   in.source = &dataset;
   in.policy = policy;
+  in.gh_slot = std::make_shared<GhSummarySlot>();
   // The extent comes from finite, well-formed rects only, so a handful of
   // NaN/Inf rects cannot poison the frame the clean ones are judged in.
   bool clean = true;
@@ -153,7 +241,8 @@ Result<EstimateResult> GuardedEstimator::Estimate(
   // an input is validated again here, against this pair's frame.
   Dataset pair_a;
   Dataset pair_b;
-  if (a.PairDependent() || b.PairDependent()) {
+  const bool per_pair = a.PairDependent() || b.PairDependent();
+  if (per_pair) {
     SJSEL_ASSIGN_OR_RETURN(pair_a,
                            ValidateDataset(*a.source, extent, options_.policy,
                                            &result.validation_a));
@@ -167,6 +256,9 @@ Result<EstimateResult> GuardedEstimator::Estimate(
   }
   const Dataset& va = *va_ptr;
   const Dataset& vb = *vb_ptr;
+  // Per-pair copies are not the inputs' own rects, so they use no slot.
+  GhSummarySlot* const slot_a = per_pair ? nullptr : a.gh_slot.get();
+  GhSummarySlot* const slot_b = per_pair ? nullptr : b.gh_slot.get();
 
   // An input that is empty (or empty after quarantine) joins with nothing;
   // a zero estimate is the correct, finite, in-range answer.
@@ -221,7 +313,12 @@ Result<EstimateResult> GuardedEstimator::Estimate(
     trial.label = estimator->Name();
     Result<EstimateOutcome> outcome = Status::Internal("rung not run");
     try {
-      outcome = estimator->EstimateWithin(va, vb, extent);
+      // The GH rung computes GhEstimator's estimate through the inputs'
+      // summary slots; its estimator object only names the trial.
+      outcome = rung == EstimatorRung::kGh
+                    ? EstimateGh(va, slot_a, vb, slot_b, extent,
+                                 options_.gh_level)
+                    : estimator->EstimateWithin(va, vb, extent);
     } catch (const std::exception&) {
       // Injected worker faults surface here as FaultInjectedError rethrown
       // by ParallelFor; treat any rung exception as that rung failing.

@@ -2,6 +2,7 @@
 #define SJSEL_CORE_GUARDED_ESTIMATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,6 +14,9 @@
 #include "util/result.h"
 
 namespace sjsel {
+
+class GhHistogram;
+struct GhSummarySlot;
 
 /// The rungs of the guarded fallback chain, in descending preference:
 /// GH (the paper's headline estimator) → PH → sampling → the Aref–Samet
@@ -119,6 +123,11 @@ struct GuardedEstimatorOptions {
 /// kClampToExtent with inverted rects: their repair clips to the pair's
 /// joint extent, so GuardedEstimator re-validates such an input per pair
 /// from `source` (see PairDependent).
+///
+/// An input also carries one GH summary slot, which the GH rung of
+/// GuardedEstimator::Estimate fills and reads: the GH histogram of
+/// rects() on the grid of the last pair that asked for one, so every
+/// later pair on that grid skips the build. See GuardedEstimator.
 struct PreparedInput {
   /// The dataset as given. Borrowed: it must outlive this object.
   const Dataset* source = nullptr;
@@ -132,6 +141,10 @@ struct PreparedInput {
   /// Validation tallies of the pass against the dataset's own rects.
   RobustnessCounters counters;
   ValidationPolicy policy = ValidationPolicy::kQuarantine;
+  /// The GH summary slot, created by PrepareInput. Copies of this input
+  /// share it, since they have the same rects. Null on a default-constructed
+  /// input, which then keeps no summary.
+  std::shared_ptr<GhSummarySlot> gh_slot;
 
   /// The rects the estimators consume.
   const Dataset& rects() const { return validated ? *validated : *source; }
@@ -141,6 +154,9 @@ struct PreparedInput {
   bool PairDependent() const {
     return policy == ValidationPolicy::kClampToExtent && counters.inverted > 0;
   }
+
+  /// The GH summary the slot holds now, or null.
+  std::shared_ptr<const GhHistogram> GhSummary() const;
 };
 
 /// Validates `dataset` by itself under `policy`, with one classification
@@ -158,6 +174,18 @@ Result<PreparedInput> PrepareInput(const Dataset& dataset,
 /// non-OK Status for kReject policy violations or inputs that are empty
 /// after validation... and even the latter yields a well-defined zero
 /// estimate, not an error (an empty side joins with nothing).
+///
+/// The GH rung takes each input's histogram from the input's summary slot
+/// when the slot holds one for the pair's grid: same extent, compared
+/// bitwise, and same gh_level. Otherwise it builds the histogram and, when
+/// the input has at least 4^gh_level rects (so the summary is never larger
+/// than the rects it summarizes), stores it in the slot in place of the
+/// previous one. A GH histogram is a pure function of (rects, extent,
+/// level), so answers are bit-identical whether or not a summary was
+/// reused. A pair with a PairDependent() input consumes per-pair copies of
+/// the rects and uses no slot. Each slot has its own lock, held across a
+/// build so that concurrent pairs wait for one build; the rung never holds
+/// two slots' locks at once.
 class GuardedEstimator {
  public:
   explicit GuardedEstimator(GuardedEstimatorOptions options = {})

@@ -1,7 +1,9 @@
 #include "server/catalog.h"
 
 #include <utility>
+#include <vector>
 
+#include "core/gh_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -103,13 +105,26 @@ Result<std::shared_ptr<stream::StreamIngest>> ServerCatalog::InitStream(
 }
 
 ServerCatalog::CacheStats ServerCatalog::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   CacheStats stats;
-  stats.datasets = entries_.size();
-  stats.estimates = estimates_.size();
-  stats.streams = streams_.size();
-  for (const auto& [dir, ingest] : streams_) {
-    if (ingest->poisoned()) ++stats.poisoned_streams;
+  std::vector<std::shared_ptr<const Entry>> entries;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats.datasets = entries_.size();
+    stats.estimates = estimates_.size();
+    stats.streams = streams_.size();
+    for (const auto& [dir, ingest] : streams_) {
+      if (ingest->poisoned()) ++stats.poisoned_streams;
+    }
+    for (const auto& [path, entry] : entries_) entries.push_back(entry);
+  }
+  // A summary's slot lock may be held across a build, so the slots are
+  // read without the catalog lock.
+  for (const auto& entry : entries) {
+    if (!entry->prepared.ok()) continue;
+    const auto summary = entry->prepared->GhSummary();
+    if (summary == nullptr) continue;
+    ++stats.gh_summaries;
+    stats.gh_summary_bytes += summary->NominalBytes();
   }
   return stats;
 }

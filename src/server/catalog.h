@@ -7,12 +7,16 @@
 // millions of times pays the load/validate/build cost once. Thread-safe;
 // see docs/SERVER.md "The catalog".
 //
+// Each entry's prepared input also holds at most one GH summary (see
+// GuardedEstimator), which the entry's pairs on the same grid share.
+//
 // Distinct from src/engine/catalog.h (the single-threaded, in-process
 // SDBMS catalog keyed by dataset *name* over one workspace extent):
 // this one is keyed by *file path*, serves concurrent workers, and
-// caches guarded-chain results — provenance included — not bare GH
-// histograms.
+// caches guarded-chain results — provenance included — rather than
+// histograms on one workspace grid.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -75,11 +79,16 @@ class ServerCatalog {
   /// consistent point-in-time snapshot under the catalog lock;
   /// `poisoned_streams` is how many open streams have a failed WAL (their
   /// mutating ops return FailedPrecondition until reopened).
+  /// `gh_summaries` is how many entries' prepared inputs hold a GH summary
+  /// and `gh_summary_bytes` the sum of their NominalBytes(), read from
+  /// each entry after the catalog lock is released.
   struct CacheStats {
     size_t datasets = 0;
     size_t estimates = 0;
     size_t streams = 0;
     size_t poisoned_streams = 0;
+    size_t gh_summaries = 0;
+    uint64_t gh_summary_bytes = 0;
   };
   CacheStats Stats() const;
 

@@ -154,7 +154,12 @@ Status Server::Start() {
 }
 
 void Server::RequestStop() {
-  stop_requested_.store(true, std::memory_order_release);
+  {
+    // Set under the queue mutex: a worker between its wait predicate and
+    // its wait would otherwise miss the notify and never wake.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stop_requested_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
 }
 
@@ -474,12 +479,18 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
   if (req.op == "stats") {
     SJSEL_TRACE_SPAN("server.op.stats");
     if (!req.path.empty()) {
-      const auto ds = catalog_.GetDataset(req.path);
-      if (!ds.ok()) return fail_status(ds.status());
-      const Rect extent = (*ds)->ComputeExtent();
-      const DatasetStats stats = DatasetStats::Compute(**ds, extent);
+      const auto entry = catalog_.GetEntry(req.path);
+      if (!entry.ok()) return fail_status(entry.status());
+      // The statistics of the data estimates use: the prepared rects and
+      // their extent, which skips non-finite rects. Under kReject a
+      // defective file has no prepared input, so its raw rects answer.
+      const Result<PreparedInput>& prepared = (*entry)->prepared;
+      const Dataset& ds =
+          prepared.ok() ? prepared->rects() : (*entry)->dataset;
+      const DatasetStats stats = DatasetStats::Compute(
+          ds, prepared.ok() ? prepared->extent : ds.ComputeExtent());
       JsonValue out = JsonValue::Object();
-      out.Set("name", JsonValue::String((*ds)->name()));
+      out.Set("name", JsonValue::String((*entry)->dataset.name()));
       out.Set("n", JsonValue::Int(static_cast<long long>(stats.n)));
       out.Set("coverage", JsonValue::Number(stats.coverage));
       out.Set("avg_width", JsonValue::Number(stats.avg_width));
@@ -550,6 +561,10 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
             JsonValue::Int(static_cast<long long>(cache.datasets)));
     out.Set("estimates_cached",
             JsonValue::Int(static_cast<long long>(cache.estimates)));
+    out.Set("gh_summaries",
+            JsonValue::Int(static_cast<long long>(cache.gh_summaries)));
+    out.Set("gh_summary_bytes",
+            JsonValue::Int(static_cast<long long>(cache.gh_summary_bytes)));
     out.Set("streams_open",
             JsonValue::Int(static_cast<long long>(cache.streams)));
     out.Set("streams_poisoned",

@@ -391,6 +391,11 @@ void JsonValue::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       return;
     case Kind::kNumber: {
+      // JSON has no NaN or infinity; null keeps the document valid.
+      if (!std::isfinite(number_)) {
+        out->append("null");
+        return;
+      }
       char buf[32];
       // Integral doubles inside the exactly-representable range print as
       // integers so counters and ids don't grow ".0"/exponent noise.

@@ -9,9 +9,10 @@
 // Scope, deliberately narrow:
 //  - UTF-8 text is passed through byte-for-byte; \uXXXX escapes are
 //    decoded to UTF-8 on parse (surrogate pairs included).
-//  - Numbers are doubles. Serialization uses %.17g, so any double
-//    round-trips bit-for-bit; integers up to 2^53 print without
-//    exponent noise.
+//  - Numbers are doubles. Serialization uses %.17g, so any finite
+//    double round-trips bit-for-bit; integers up to 2^53 print without
+//    exponent noise. NaN and infinities, which JSON cannot spell, are
+//    written as null.
 //  - Object keys keep *insertion order* on serialization (deterministic
 //    output that matches the order the writer chose), with O(log n)
 //    lookup via a side index.

@@ -124,6 +124,20 @@ TEST(JsonDumpTest, DoublesRoundTripBitForBit) {
   }
 }
 
+TEST(JsonDumpTest, NonFiniteNumbersAreNull) {
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(JsonValue::Number(v).Dump(), "null");
+  }
+  const std::string doc =
+      JsonValue::Object()
+          .Set("x", JsonValue::Number(std::numeric_limits<double>::quiet_NaN()))
+          .Dump();
+  EXPECT_EQ(doc, R"({"x":null})");
+  EXPECT_TRUE(JsonValue::Parse(doc).ok());
+}
+
 TEST(JsonDumpTest, StringsAreEscaped) {
   EXPECT_EQ(JsonValue::String("a\"b\\c\n\x01").Dump(),
             "\"a\\\"b\\\\c\\n\\u0001\"");

@@ -1,19 +1,22 @@
 // Tests of the multi-way join planner (src/planner/join_planner.h):
 // determinism across thread counts, per-pair agreement with the
 // standalone guarded estimator, DP optimality against an independent
-// exhaustive enumeration, greedy fallback, and degradation surfacing.
+// exhaustive enumeration, greedy fallback, degradation surfacing, and
+// one GH build per input when every pair shares a grid.
 
 #include "planner/join_planner.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/guarded_estimator.h"
 #include "datagen/generators.h"
+#include "obs/metrics.h"
 #include "util/fault_injection.h"
 
 namespace sjsel {
@@ -122,6 +125,48 @@ TEST_F(PlannerTest, RejectPolicyNamesTheFirstDefectivePair) {
     EXPECT_EQ(plan.status().message(),
               "pair a.ds * c.ds: " + direct.status().message());
   }
+}
+
+TEST_F(PlannerTest, InputsOnOneGridAreSummarizedOncePerInput) {
+  // Four inputs whose pairs all share the [0,1]^2 grid, each with at
+  // least 4^level rects: every input's GH histogram is built once and its
+  // summary answers the input's other two pairs.
+  PlannerOptions options;
+  options.estimator.gh_level = 4;
+  std::vector<Dataset> framed;
+  for (const Dataset& ds : datasets_) {
+    Dataset copy = ds;
+    copy.Add(Rect(0, 0, 0, 0));
+    copy.Add(Rect(1, 1, 1, 1));
+    ASSERT_GE(copy.size(), 256u);
+    framed.push_back(std::move(copy));
+  }
+  std::vector<PlannerInput> inputs = Inputs(4);
+  for (size_t i = 0; i < inputs.size(); ++i) inputs[i].dataset = &framed[i];
+  const GuardedEstimator estimator(options.estimator);
+  std::vector<Result<EstimateResult>> per_pair;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    for (size_t j = i + 1; j < inputs.size(); ++j) {
+      per_pair.push_back(estimator.Estimate(framed[i], framed[j]));
+    }
+  }
+  const auto reference = PlanFromPairEstimates(inputs, per_pair, options);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  obs::MetricsRegistry::Arm();
+  obs::Counter* builds =
+      obs::MetricsRegistry::Global().GetCounter("hist.gh.builds");
+  for (const int threads : {1, 2, 4}) {
+    options.threads = threads;
+    const uint64_t before = builds->value();
+    const auto plan = PlanMultiJoin(inputs, options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(builds->value() - before, inputs.size())
+        << "threads=" << threads;
+    EXPECT_EQ(RenderPlanJson(*plan), RenderPlanJson(*reference))
+        << "threads=" << threads;
+  }
+  obs::MetricsRegistry::Disarm();
 }
 
 TEST_F(PlannerTest, IdenticalPlanJsonForEveryThreadCount) {

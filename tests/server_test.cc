@@ -13,8 +13,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/gh_histogram.h"
@@ -216,6 +219,77 @@ TEST_F(ServerTest, PlanReusesAPairEstimateAlreadyServed) {
   EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 4.0);
 }
 
+TEST_F(ServerTest, PairOnASharedGridReusesTheInputsSummary) {
+  // Inputs framed to one [0,1]^2 extent and a level whose 4^level cells
+  // they reach: (a, c) after (a, b) builds only c.
+  ServerOptions options;
+  options.estimator.gh_level = 4;
+  Server server(options);
+  const std::pair<const char*, size_t> inputs[] = {
+      {"fa", 800}, {"fb", 600}, {"fc", 400}};
+  std::vector<std::string> paths;
+  for (const auto& [name, n] : inputs) {
+    Dataset ds = MakeUniform(name, n, 31 + paths.size());
+    ds.Add(Rect(0, 0, 0, 0));
+    ds.Add(Rect(1, 1, 1, 1));
+    paths.push_back(::testing::TempDir() + "/server_" + name + ".ds");
+    ASSERT_TRUE(ds.Save(paths.back()).ok());
+  }
+  const auto estimate = [&](const std::string& a, const std::string& b) {
+    return Handle(&server, R"({"op":"estimate","a":")" + a + R"(","b":")" +
+                               b + R"("})");
+  };
+  ASSERT_TRUE(estimate(paths[0], paths[1]).Find("ok")->bool_value());
+  const double builds = Counter(&server, "hist.gh.builds");
+  const double hits = Counter(&server, "hist.gh.summary_hits");
+  const JsonValue second = estimate(paths[0], paths[2]);
+  ASSERT_TRUE(second.Find("ok")->bool_value()) << ErrorCode(second);
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 1.0);
+  EXPECT_EQ(Counter(&server, "hist.gh.summary_hits"), hits + 1.0);
+
+  auto a = Dataset::Load(paths[0]);
+  auto c = Dataset::Load(paths[2]);
+  ASSERT_TRUE(a.ok() && c.ok());
+  const auto standalone = GuardedEstimator(options.estimator).Estimate(*a, *c);
+  ASSERT_TRUE(standalone.ok());
+  EXPECT_EQ(second.Find("result")->Find("estimated_pairs")->number_value(),
+            standalone->outcome.estimated_pairs);
+
+  const JsonValue health = Handle(&server, R"({"op":"health"})");
+  const JsonValue* result = health.Find("result");
+  ASSERT_TRUE(result != nullptr);
+  EXPECT_EQ(result->Find("gh_summaries")->number_value(), 3.0);
+  EXPECT_EQ(result->Find("gh_summary_bytes")->number_value(),
+            3.0 * 256 * 4 * 8);
+  for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+TEST_F(ServerTest, StatsOfADatasetWithANonFiniteRectIsValidJson) {
+  // The first rect is NaN: the statistics come from the prepared input,
+  // whose extent and rects leave it out.
+  Dataset ds("nan_first");
+  ds.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 1, 1));
+  const Dataset clean = MakeUniform("clean", 300, 41);
+  for (const Rect& r : clean.rects()) ds.Add(r);
+  const std::string path = ::testing::TempDir() + "/server_nan_first.ds";
+  ASSERT_TRUE(ds.Save(path).ok());
+  Server server(ServerOptions{});
+  const std::string response =
+      server.HandleLine(R"({"op":"stats","path":")" + path + R"("})");
+  std::remove(path.c_str());
+  const auto parsed = JsonValue::Parse(response);
+  ASSERT_TRUE(parsed.ok()) << response;
+  ASSERT_TRUE(parsed->Find("ok")->bool_value()) << response;
+  const JsonValue* result = parsed->Find("result");
+  EXPECT_EQ(result->Find("n")->number_value(), 300.0);
+  for (const char* key :
+       {"n", "coverage", "avg_width", "avg_height", "extent_area"}) {
+    const JsonValue* value = result->Find(key);
+    ASSERT_TRUE(value != nullptr && value->is_number()) << key;
+    EXPECT_TRUE(std::isfinite(value->number_value())) << key;
+  }
+}
+
 TEST_F(ServerTest, StatsWithPathReportsDatasetStatistics) {
   Server server(ServerOptions{});
   const JsonValue response =
@@ -332,6 +406,9 @@ TEST_F(ServerTest, HealthOpReportsServerState) {
   EXPECT_GE(result->Find("uptime_s")->number_value(), 0.0);
   EXPECT_GE(result->Find("datasets_cached")->number_value(), 2.0);
   EXPECT_GE(result->Find("estimates_cached")->number_value(), 1.0);
+  // 800 and 600 rects are below 4^7: neither input keeps a summary.
+  EXPECT_EQ(result->Find("gh_summaries")->number_value(), 0.0);
+  EXPECT_EQ(result->Find("gh_summary_bytes")->number_value(), 0.0);
   EXPECT_EQ(result->Find("streams_open")->number_value(), 0.0);
   EXPECT_EQ(result->Find("streams_poisoned")->number_value(), 0.0);
 }
