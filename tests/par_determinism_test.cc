@@ -1,8 +1,8 @@
 // The determinism contract of the concurrency layer (docs/ARCHITECTURE.md):
 // every parallel path — GH/PH histogram build, PBSM and R-tree ground-truth
-// joins, the sampling estimator, the chain-join executor — produces output
-// bit-identical (histograms) or exactly equal (integer counts) to its
-// serial run, for any thread count, on uniform and skewed data alike.
+// joins, the sampling estimator — produces output bit-identical
+// (histograms) or exactly equal (integer counts) to its serial run, for any
+// thread count, on uniform and skewed data alike.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,6 @@
 #include "core/ph_histogram.h"
 #include "core/sampling.h"
 #include "datagen/generators.h"
-#include "engine/catalog.h"
-#include "engine/executor.h"
 #include "join/pbsm.h"
 #include "join/rtree_join.h"
 #include "rtree/rtree.h"
@@ -203,28 +201,6 @@ TEST(ParDeterminismTest, SamplingParallelEstimateMatchesSerial) {
       EXPECT_EQ(parallel->estimated_pairs, serial->estimated_pairs);
     }
     options.threads = 1;
-  }
-}
-
-TEST(ParDeterminismTest, ExecutorParallelChainJoinMatchesSerial) {
-  Catalog catalog(kUnit, 5);
-  ASSERT_TRUE(catalog.AddDataset(MakeUniform(2000, 31)).ok());
-  ASSERT_TRUE(catalog.AddDataset(MakeSkewed(2000, 32)).ok());
-  Dataset third = MakeUniform(2000, 33);
-  third.set_name("u2");
-  ASSERT_TRUE(catalog.AddDataset(std::move(third)).ok());
-
-  const std::vector<std::string> order = {"u", "skew", "u2"};
-  const auto serial = ExecuteChainJoin(&catalog, order);
-  ASSERT_TRUE(serial.ok());
-  for (const int threads : kThreadCounts) {
-    ExecuteOptions options;
-    options.threads = threads;
-    const auto parallel = ExecuteChainJoin(&catalog, order, options);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel->result_tuples, serial->result_tuples);
-    EXPECT_EQ(parallel->step_cardinalities, serial->step_cardinalities);
-    EXPECT_EQ(parallel->work, serial->work);
   }
 }
 
