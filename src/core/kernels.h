@@ -14,8 +14,7 @@
 // Dispatch contract (see docs/ARCHITECTURE.md, "Data-level parallelism"):
 //  - Every kernel has a portable scalar implementation and, on x86-64,
 //    AVX2 and AVX-512 implementations selected once at runtime (cpuid
-//    probe, cached). On aarch64 a NEON backend slot exists behind the same
-//    interface (currently a stub that runs the scalar loops).
+//    probe, cached). Every other target runs the scalar loops.
 //  - All backends produce BIT-IDENTICAL results: the same IEEE-754
 //    operations in the same per-lane order as the scalar code. Vector
 //    min/max operand order is chosen to reproduce std::min/std::max tie
@@ -42,14 +41,13 @@ enum class KernelBackend {
   kScalar,  ///< portable, auto-vectorizable C++
   kAvx2,    ///< hand-vectorized 4-lane double kernels (x86-64 with AVX2)
   kAvx512,  ///< hand-vectorized 8-lane double kernels (x86-64 with AVX-512F)
-  kNeon,    ///< aarch64 slot; currently a stub that runs the scalar loops
 };
 
 /// The best backend this CPU supports (probed once, cached).
 KernelBackend DetectKernelBackend();
 
 /// True if `backend` can actually run on this machine (kScalar always;
-/// kAvx2/kAvx512 need the cpuid feature; kNeon needs aarch64).
+/// kAvx2/kAvx512 need the cpuid feature).
 bool KernelBackendAvailable(KernelBackend backend);
 
 /// The backend kernels currently dispatch to: the programmatic override if
@@ -71,7 +69,7 @@ void ClearKernelBackendOverride();
 void SetKernelBackendForTesting(KernelBackend backend);
 void ClearKernelBackendOverrideForTesting();
 
-/// Short lowercase name ("scalar", "avx2", "avx512", "neon") for logs and
+/// Short lowercase name ("scalar", "avx2", "avx512") for logs and
 /// bench JSON.
 const char* KernelBackendName(KernelBackend backend);
 

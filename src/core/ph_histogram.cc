@@ -217,9 +217,9 @@ struct PhCellsOnlySink {
 // kernel output that stays cache-hot for the scatter pass.
 constexpr size_t kPhRectChunk = 2048;
 
-// Serial fast path for the scalar (and stub-NEON) backends: PH books raw
-// overlaps — no divisions — so the fused kernel's store-then-reload round
-// trip only pays for itself when the clip pass is vectorized. The scalar
+// Serial fast path for the scalar backend: PH books raw overlaps — no
+// divisions — so the fused kernel's store-then-reload round trip only
+// pays for itself when the clip pass is vectorized. The scalar
 // dispatch instead books rects straight from the AoS input, ranges inline
 // (Grid::CellRange, the streaming path's own arithmetic) and the row
 // overlap hoisted per row.
@@ -305,9 +305,7 @@ void PhSerialBuild(const Grid& grid, const Dataset& ds, PhVariant variant,
   const Rect* rects = ds.rects().data();
   PhHistogram::Cell* C = cells->data();
 
-  const KernelBackend backend = ActiveKernelBackend();
-  if (backend == KernelBackend::kScalar ||
-      backend == KernelBackend::kNeon) {
+  if (ActiveKernelBackend() == KernelBackend::kScalar) {
     PhSerialBuildScalarDirect(grid, ds, variant, cells, span_sum,
                               crossing_count);
     return;

@@ -37,12 +37,11 @@ namespace {
 const Rect kUnit(0, 0, 1, 1);
 
 // Every non-scalar backend this machine can run. Empty on a plain-SSE x86
-// or non-NEON build — the lane tests skip, and the composed tests still
+// or non-x86 build — the lane tests skip, and the composed tests still
 // cover the scalar paths.
 std::vector<KernelBackend> AvailableSimdBackends() {
   std::vector<KernelBackend> backends;
-  for (const KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512,
-                                KernelBackend::kNeon}) {
+  for (const KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
     if (KernelBackendAvailable(b)) backends.push_back(b);
   }
   return backends;
@@ -382,14 +381,14 @@ TEST_F(KernelEquivalenceTest, SortedPrefixLeqMatchesScalarScan) {
 
 TEST_F(KernelEquivalenceTest, ParseAndNameRoundTrip) {
   for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512,
-        KernelBackend::kNeon}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
     KernelBackend parsed = KernelBackend::kScalar;
     ASSERT_TRUE(ParseKernelBackend(KernelBackendName(b), &parsed));
     EXPECT_EQ(parsed, b);
   }
   KernelBackend parsed = KernelBackend::kAvx2;
   EXPECT_FALSE(ParseKernelBackend("sse9", &parsed));
+  EXPECT_FALSE(ParseKernelBackend("neon", &parsed));
   EXPECT_FALSE(ParseKernelBackend("", &parsed));
   EXPECT_EQ(parsed, KernelBackend::kAvx2);  // unknown names leave *out alone
   EXPECT_TRUE(KernelBackendAvailable(KernelBackend::kScalar));
