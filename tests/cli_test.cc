@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "geom/dataset.h"
+#include "server/server.h"
+#include "util/json.h"
+#include "util/table.h"
 
 namespace sjsel {
 namespace cli {
@@ -83,6 +89,18 @@ TEST(CliTest, GenRejectsBadSpec) {
   const CliResult r = RunTool({"gen", "nonsense", TempPath("x.ds")});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown dataset spec"), std::string::npos);
+
+  // The count must be the whole suffix and at least 1: "abc" is not 0 and
+  // "12x" is not 12.
+  for (const std::string spec :
+       {"uniform:abc", "uniform:12x", "uniform:0", "uniform:", "uniform:-3",
+        "clustered:abc", "clustered:0"}) {
+    const CliResult bad = RunTool({"gen", spec, TempPath("x.ds")});
+    EXPECT_EQ(bad.code, 2) << spec;
+    EXPECT_NE(bad.err.find("bad dataset spec: " + spec), std::string::npos)
+        << bad.err;
+    EXPECT_EQ(bad.out, "") << spec;
+  }
 }
 
 TEST(CliTest, FullHistogramPipeline) {
@@ -243,7 +261,49 @@ TEST(CliTest, KnnCommand) {
   EXPECT_NE(r.out.find("3 nearest of 500"), std::string::npos);
   EXPECT_NE(r.out.find("dist"), std::string::npos);
   EXPECT_EQ(RunTool({"knn", ds, "zzz"}).code, 2);
+  for (const std::string k : {"--k=0", "--k=-3"}) {
+    r = RunTool({"knn", ds, "0.5,0.5", k});
+    EXPECT_EQ(r.code, 2) << k;
+    EXPECT_NE(r.err.find("--k must be >= 1"), std::string::npos) << r.err;
+  }
   std::remove(ds.c_str());
+}
+
+TEST(CliTest, StatsOfNanFirstRectMatchesServerStats) {
+  // A NaN first rect must not reach the statistics: they come from the
+  // validated rects and their extent, as the server's `stats` op's do.
+  Dataset ds("first_bad");
+  ds.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 0.5, 0.5));
+  ds.Add(Rect(0.1, 0.2, 0.4, 0.7));
+  ds.Add(Rect(0.3, 0.0, 0.6, 0.5));
+  const std::string path = TempPath("cli_nan_first.ds");
+  ASSERT_TRUE(ds.Save(path).ok());
+
+  const CliResult r = RunTool({"stats", path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_EQ(r.out.find("nan"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("rectangles  : 2\n"), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find("extent      : [0.1,0.6]x[0,0.7]"), std::string::npos)
+      << r.out;
+
+  server::Server server(server::ServerOptions{});
+  const auto response = JsonValue::Parse(
+      server.HandleLine(R"({"op":"stats","path":")" + path + R"("})"));
+  std::remove(path.c_str());
+  ASSERT_TRUE(response.ok());
+  const JsonValue* result = response->Find("result");
+  ASSERT_TRUE(result != nullptr);
+  EXPECT_EQ(result->Find("n")->number_value(), 2.0);
+  const auto expect_line = [&r](const std::string& line) {
+    EXPECT_NE(r.out.find(line + "\n"), std::string::npos)
+        << line << "\n" << r.out;
+  };
+  expect_line("coverage    : " +
+              FormatPercent(result->Find("coverage")->number_value()));
+  expect_line("avg width   : " +
+              FormatDouble(result->Find("avg_width")->number_value(), 6));
+  expect_line("avg height  : " +
+              FormatDouble(result->Find("avg_height")->number_value(), 6));
 }
 
 TEST(CliTest, MissingFilesAreReported) {
