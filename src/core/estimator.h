@@ -21,8 +21,8 @@ struct EstimateOutcome {
 };
 
 /// Uniform facade over every estimation technique in the library, used by
-/// the mini query engine and the examples. Implementations are one-shot
-/// and stateless across calls.
+/// the benches and the examples. Implementations are one-shot and
+/// stateless across calls.
 class SelectivityEstimator {
  public:
   virtual ~SelectivityEstimator() = default;

@@ -12,11 +12,9 @@
 // (answering rung, degradation_reason) rides along into the plan, so a
 // plan built on degraded estimates says so.
 //
-// Distinct from src/engine/planner.h: the engine's planner orders a
-// *chain* query (consecutive-intersect semantics, catalog-backed, GH
-// only). This planner targets the clique multi-way spatial join — every
-// result tuple intersects pairwise — costs bushy trees, and runs on the
-// guarded chain so it degrades instead of failing.
+// It targets the clique multi-way spatial join — every result tuple
+// intersects pairwise — costs bushy trees, and runs on the guarded chain
+// so it degrades instead of failing.
 
 #include <cstddef>
 #include <string>

@@ -10,11 +10,8 @@
 // Each entry's prepared input also holds at most one GH summary (see
 // GuardedEstimator), which the entry's pairs on the same grid share.
 //
-// Distinct from src/engine/catalog.h (the single-threaded, in-process
-// SDBMS catalog keyed by dataset *name* over one workspace extent):
-// this one is keyed by *file path*, serves concurrent workers, and
-// caches guarded-chain results — provenance included — rather than
-// histograms on one workspace grid.
+// Entries are keyed by *file path*, and the pair cache keeps guarded-chain
+// results with their provenance.
 
 #include <cstdint>
 #include <map>
