@@ -103,10 +103,9 @@ inline PairBaseline ComputeBaseline(const Dataset& a, const Dataset& b) {
 ///
 ///   {
 ///     "bench": "kernels",
-///     "kernel_backend": "avx512",        // active dispatch choice
+///     "kernel_backend": "avx2",          // active dispatch choice
 ///     "kernel_dispatch": "detected",     // override | env | detected
 ///     "avx2_available": true,
-///     "avx512_available": true,
 ///     "hardware_threads": 8,
 ///     "entries": [
 ///       {"name": "gh_build/scalar", "ns_per_op": 123.4,
@@ -171,9 +170,6 @@ class BenchJsonWriter {
     std::fprintf(f, "  \"avx2_available\": %s,\n",
                  KernelBackendAvailable(KernelBackend::kAvx2) ? "true"
                                                              : "false");
-    std::fprintf(f, "  \"avx512_available\": %s,\n",
-                 KernelBackendAvailable(KernelBackend::kAvx512) ? "true"
-                                                               : "false");
     std::fprintf(f, "  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"run\": {\n");

@@ -12,7 +12,7 @@
 //   sample-est  EstimateBySampling, RSWR 10%/10%
 //
 // The histogram builds run on two dimensions besides threads: kernel
-// backend (forced scalar vs the best SIMD backend, rows .../scalar/... and
+// backend (forced scalar vs the detected backend, rows .../scalar/... and
 // .../simd/...) and dataset size (100k and 1M rects; the 1M rows are the
 // thread-scaling evidence EXPERIMENTS.md E16 cites — at that size the
 // blocked per-tile build is active at every thread count). JSON entry
@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   std::vector<size_t> build_sizes{base_n};
   if (!smoke) build_sizes.push_back(1000000);
 
-  // Backend dimension for the build rows: forced scalar plus the best
-  // available SIMD backend under the portable "simd" label (the alias the
+  // Backend dimension for the build rows: forced scalar plus the
+  // detected backend under the portable "simd" label (the alias the
   // kernels bench uses too, so baselines survive machines with different
   // vector extensions). Smoke keeps only "simd" — one portable row set.
   std::vector<std::pair<const char*, KernelBackend>> backends;
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     const Dataset& gh_input = n == base_n ? uniform : gh_gen;
     const Dataset& ph_input = n == base_n ? clustered : ph_gen;
     for (const auto& [backend_name, backend] : backends) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const std::string tag =
           std::string("/") + backend_name + "/n" + std::to_string(n);
 
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
         all_identical = all_identical && row.identical;
       }
 
-      ClearKernelBackendOverrideForTesting();
+      ClearKernelBackendOverride();
     }
   }
 

@@ -40,6 +40,7 @@
 #include "rtree/rtree.h"
 #include "stats/dataset_stats.h"
 #include "stream/ingest.h"
+#include "stream/stream_estimate.h"
 #include "util/build_info.h"
 #include "util/fault_injection.h"
 #include "util/table.h"
@@ -227,7 +228,7 @@ int Usage(std::FILE* err) {
                "   --fa, --fb, --seed, --method, --validate)\n"
                "\n"
                "global flags:\n"
-               "  --kernel-backend=scalar|avx2|avx512\n"
+               "  --kernel-backend=scalar|avx2\n"
                "      force every batch kernel onto one backend (results\n"
                "      are bit-identical; errors if the CPU lacks it)\n"
                "  --inject-faults=<site>=<trigger>[,...]\n"
@@ -1293,20 +1294,23 @@ int CmdIngest(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
       std::fprintf(err, "%s\n", probe.status().ToString().c_str());
       return 1;
     }
+    // Validated under the default policy, as `stats` and `estimate` do.
+    const auto prepared = PrepareInput(*probe, ValidationPolicy::kQuarantine);
+    if (!prepared.ok()) {
+      std::fprintf(err, "%s\n", prepared.status().ToString().c_str());
+      return 1;
+    }
     const auto snap = ingest.snapshot();
-    const auto built = GhHistogram::Build(*probe, snap->gh.grid().extent(),
-                                          snap->gh.grid().level());
-    if (!built.ok()) {
-      std::fprintf(err, "%s\n", built.status().ToString().c_str());
+    const auto est = stream::EstimateStreamJoin(snap->gh, *prepared);
+    if (!est.ok()) {
+      std::fprintf(err, "%s\n", est.status().ToString().c_str());
       return 1;
     }
-    const auto pairs = EstimateGhJoinPairs(snap->gh, built.value());
-    if (!pairs.ok()) {
-      std::fprintf(err, "%s\n", pairs.status().ToString().c_str());
-      return 1;
-    }
-    std::fprintf(out, "snapshot_seq=%llu estimated_pairs=%.17g\n",
-                 static_cast<unsigned long long>(snap->seq), pairs.value());
+    std::fprintf(out, "snapshot_seq=%llu estimated_pairs=%.17g clamped=%s\n",
+                 static_cast<unsigned long long>(snap->seq),
+                 est->estimated_pairs, est->clamped ? "yes" : "no");
+    std::fprintf(out, "validation (b): %s\n",
+                 est->validation_b.ToString().c_str());
     return 0;
   }
 
@@ -1490,16 +1494,14 @@ int RunCli(const std::vector<std::string>& args, std::FILE* out,
 
   // Global kernel-backend forcing, scoped to this invocation: every batch
   // kernel (histogram builds, join filters, sample join) dispatches to the
-  // named backend. CI's forced-backend drill and A/B timing both ride on
-  // this; an unavailable backend is a usage error, not a crash later.
+  // named backend. A/B timing rides on this; an unavailable backend is a
+  // usage error, not a crash later.
   bool backend_forced = false;
   if (parsed.Has("kernel-backend")) {
     const std::string name = parsed.Flag("kernel-backend", "");
     KernelBackend backend = KernelBackend::kScalar;
     if (!ParseKernelBackend(name, &backend)) {
-      std::fprintf(err,
-                   "bad --kernel-backend: '%s' "
-                   "(want scalar|avx2|avx512)\n",
+      std::fprintf(err, "bad --kernel-backend: '%s' (want scalar|avx2)\n",
                    name.c_str());
       return 2;
     }

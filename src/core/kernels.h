@@ -12,9 +12,10 @@
 // plain GridGeom POD instead of including core/grid.h.
 //
 // Dispatch contract (see docs/ARCHITECTURE.md, "Data-level parallelism"):
-//  - Every kernel has a portable scalar implementation and, on x86-64,
-//    AVX2 and AVX-512 implementations selected once at runtime (cpuid
-//    probe, cached). Every other target runs the scalar loops.
+//  - Every kernel has a portable scalar implementation and, on x86-64, an
+//    AVX2 implementation selected once at runtime (cpuid probe, cached).
+//    Wider x86 vector units run the AVX2 loops too; every other target
+//    runs the scalar loops.
 //  - All backends produce BIT-IDENTICAL results: the same IEEE-754
 //    operations in the same per-lane order as the scalar code. Vector
 //    min/max operand order is chosen to reproduce std::min/std::max tie
@@ -23,8 +24,8 @@
 //  - The dispatch choice can be forced three ways, in precedence order:
 //    SetKernelBackendOverride (programmatic; the CLI's --kernel-backend
 //    flag lands here), the SJSEL_KERNEL_BACKEND environment variable, and
-//    runtime detection. CI uses the env knob to force-run every backend
-//    through the kernel_equivalence bit-identity contract.
+//    runtime detection. CI uses the env knob to force-run the whole suite
+//    on the scalar backend; kernel_equivalence diffs the two lane by lane.
 
 #include <algorithm>
 #include <cstddef>
@@ -40,14 +41,13 @@ namespace sjsel {
 enum class KernelBackend {
   kScalar,  ///< portable, auto-vectorizable C++
   kAvx2,    ///< hand-vectorized 4-lane double kernels (x86-64 with AVX2)
-  kAvx512,  ///< hand-vectorized 8-lane double kernels (x86-64 with AVX-512F)
 };
 
 /// The best backend this CPU supports (probed once, cached).
 KernelBackend DetectKernelBackend();
 
 /// True if `backend` can actually run on this machine (kScalar always;
-/// kAvx2/kAvx512 need the cpuid feature).
+/// kAvx2 needs the cpuid feature).
 bool KernelBackendAvailable(KernelBackend backend);
 
 /// The backend kernels currently dispatch to: the programmatic override if
@@ -56,21 +56,16 @@ bool KernelBackendAvailable(KernelBackend backend);
 KernelBackend ActiveKernelBackend();
 
 /// Forces every kernel onto `backend` until cleared. The caller is
-/// responsible for availability — forcing kAvx512 on a CPU without it is
+/// responsible for availability — forcing kAvx2 on a CPU without it is
 /// the caller's crash to keep (the CLI checks KernelBackendAvailable
-/// before calling this).
+/// before calling this). The equivalence tests and the kernel benches
+/// diff scalar against SIMD through this pair.
 void SetKernelBackendOverride(KernelBackend backend);
 
 /// Clears the programmatic override, restoring env/runtime detection.
 void ClearKernelBackendOverride();
 
-/// Testing aliases for the override pair (the equivalence tests diff
-/// scalar vs SIMD lane by lane through these).
-void SetKernelBackendForTesting(KernelBackend backend);
-void ClearKernelBackendOverrideForTesting();
-
-/// Short lowercase name ("scalar", "avx2", "avx512") for logs and
-/// bench JSON.
+/// Short lowercase name ("scalar", "avx2") for logs and bench JSON.
 const char* KernelBackendName(KernelBackend backend);
 
 /// Parses a backend name as accepted by --kernel-backend /
@@ -116,25 +111,6 @@ inline double OverlapLen(double lo, double hi, double cell_lo,
 /// Output arrays must hold rects.size entries.
 void CellRangeBatch(const GridGeom& g, const SoaSlice& rects, int32_t* x0,
                     int32_t* y0, int32_t* x1, int32_t* y1);
-
-/// Batch GH revised-variant terms for single-cell rects: with (x0[i],
-/// y0[i]) the cell from CellRangeBatch, computes the clipped fractions
-///   out_area[i] = (w * h) / (g.cell_w * g.cell_h)
-///   out_h[i]    = w / g.cell_w
-///   out_v[i]    = h / g.cell_h
-/// where w/h are the OverlapLen of the rect against that cell's rect —
-/// exactly the amounts the scalar GH accumulation books for a rect whose
-/// cell range is one cell. Values for multi-cell rects are computed too
-/// (for the x0/y0 cell) but are only meaningful for single-cell rects.
-void GhSingleCellTermsBatch(const GridGeom& g, const SoaSlice& rects,
-                            const int32_t* x0, const int32_t* y0,
-                            double* out_area, double* out_h, double* out_v);
-
-/// Batch PH contained-population terms: out_w[i] = width, out_h[i] =
-/// height, out_area[i] = width * height — the amounts PH books for an MBR
-/// contained in one cell (and for every cell under the naive variant).
-void PhContainedTermsBatch(const SoaSlice& rects, double* out_area,
-                           double* out_w, double* out_h);
 
 /// Batch GH revised-variant terms over (rect, cell) entries with the clip
 /// overlaps w[i]/h[i] already computed (the expansion loop of the blocked

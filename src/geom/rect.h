@@ -73,29 +73,12 @@ struct Rect {
                 std::min(max_x, o.max_x), std::min(max_y, o.max_y));
   }
 
-  /// This rectangle grown by `margin` on every side (Minkowski sum with a
-  /// square of half-width `margin`). Negative margins shrink; callers must
-  /// keep min <= max themselves if they shrink past degeneracy.
-  Rect Expanded(double margin) const {
-    return Rect(min_x - margin, min_y - margin, max_x + margin,
-                max_y + margin);
-  }
-
   /// Squared Euclidean distance from `p` to the nearest point of this
   /// rectangle; 0 when `p` is inside. The R-tree k-NN search's MINDIST.
   double DistanceSqToPoint(const Point& p) const {
     const double dx = std::max({0.0, min_x - p.x, p.x - max_x});
     const double dy = std::max({0.0, min_y - p.y, p.y - max_y});
     return dx * dx + dy * dy;
-  }
-
-  /// Minimum Chebyshev (L-infinity) distance to `o`; 0 when intersecting.
-  double DistanceLInf(const Rect& o) const {
-    const double dx =
-        std::max({0.0, o.min_x - max_x, min_x - o.max_x});
-    const double dy =
-        std::max({0.0, o.min_y - max_y, min_y - o.max_y});
-    return std::max(dx, dy);
   }
 
   /// Grows this rectangle to cover `o` (no-op for empty `o`).

@@ -20,6 +20,7 @@
 #include "obs/explain.h"
 #include "obs/log.h"
 #include "stream/ingest.h"
+#include "stream/stream_estimate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "planner/join_planner.h"
@@ -702,16 +703,15 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
     }
     const auto ingest = catalog_.GetStream(req.stream);
     if (!ingest.ok()) return fail_status(ingest.status());
-    const auto b = catalog_.GetDataset(req.b);
+    const auto b = catalog_.GetEntry(req.b);
     if (!b.ok()) return fail_status(b.status());
+    if (!(*b)->prepared.ok()) return fail_status((*b)->prepared.status());
+    const PreparedInput& pb = *(*b)->prepared;
     // Estimates are served from the immutable snapshot — a consistent
     // (base + sealed deltas) view that concurrent Applies never mutate.
     const auto snap = (*ingest)->snapshot();
-    const auto bh = GhHistogram::Build(**b, snap->gh.grid().extent(),
-                                       snap->gh.grid().level());
-    if (!bh.ok()) return fail_status(bh.status());
-    const auto pairs = EstimateGhJoinPairs(snap->gh, *bh);
-    if (!pairs.ok()) return fail_status(pairs.status());
+    const auto est = stream::EstimateStreamJoin(snap->gh, pb);
+    if (!est.ok()) return fail_status(est.status());
     if (ShouldAudit()) {
       // The reference folds the not-yet-sealed active delta in, so the
       // audit measures how far the served snapshot lags the acknowledged
@@ -719,9 +719,10 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       SJSEL_TRACE_SPAN("server.audit");
       const auto full = (*ingest)->MaterializeState();
       if (full.ok()) {
-        const auto ref = EstimateGhJoinPairs((*full).gh, *bh);
+        const auto ref = stream::EstimateStreamJoin(full->gh, pb);
         if (ref.ok()) {
-          PublishAuditResult(req, "materialized", *pairs, *ref);
+          PublishAuditResult(req, "materialized", est->estimated_pairs,
+                             ref->estimated_pairs);
         } else {
           SJSEL_METRIC_INC("accuracy.audit_failures");
         }
@@ -729,13 +730,11 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
         SJSEL_METRIC_INC("accuracy.audit_failures");
       }
     }
-    const double n1 = static_cast<double>(snap->gh.dataset_size());
-    const double n2 = static_cast<double>((*b)->size());
     JsonValue out = JsonValue::Object();
-    out.Set("estimated_pairs", JsonValue::Number(*pairs));
-    out.Set("selectivity",
-            JsonValue::Number(n1 > 0.0 && n2 > 0.0 ? *pairs / (n1 * n2)
-                                                   : 0.0));
+    out.Set("estimated_pairs", JsonValue::Number(est->estimated_pairs));
+    out.Set("selectivity", JsonValue::Number(est->selectivity));
+    out.Set("clamped", JsonValue::Bool(est->clamped));
+    out.Set("validation_b", JsonValue::String(est->validation_b.ToString()));
     out.Set("snapshot_seq",
             JsonValue::Int(static_cast<long long>(snap->seq)));
     out.Set("stream_n", JsonValue::Int(static_cast<long long>(

@@ -8,8 +8,8 @@
 namespace sjsel {
 
 /// Cache-line / SIMD-lane alignment used by every SoA geometry buffer.
-/// 64 bytes covers one x86 cache line and the widest vector register the
-/// batch kernels target (AVX2's 32-byte ymm, with headroom for AVX-512).
+/// 64 bytes covers one x86 cache line, and with it the 32-byte ymm
+/// register of the AVX2 batch kernels.
 inline constexpr std::size_t kSoaAlignment = 64;
 
 /// Minimal C++17 allocator handing out `Alignment`-byte-aligned storage via

@@ -11,6 +11,7 @@
 
 #include "geom/dataset.h"
 #include "server/server.h"
+#include "stream/ingest.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -549,6 +550,111 @@ TEST(CliTest, ClientReportsConnectFailure) {
       RunTool({"client", TempPath("cli_no_server.sock"), "{\"op\":\"ping\"}"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("connect"), std::string::npos);
+}
+
+TEST(CliTest, KernelBackendFlagAcceptsOnlyScalarAndAvx2) {
+  const std::string ds = TempPath("cli_kernels.ds");
+  ASSERT_EQ(RunTool({"gen", "uniform:100", ds}).code, 0);
+  CliResult r = RunTool({"stats", ds, "--kernel-backend=scalar"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("kernels     : scalar (override; detected "),
+            std::string::npos)
+      << r.out;
+  for (const std::string name : {"avx512", "neon", ""}) {
+    r = RunTool({"stats", ds, "--kernel-backend=" + name});
+    EXPECT_EQ(r.code, 2) << name;
+    EXPECT_NE(r.err.find("bad --kernel-backend: '" + name +
+                         "' (want scalar|avx2)"),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.out, "") << name;
+  }
+  std::remove(ds.c_str());
+}
+
+// A stream directory at `leaf` over the unit square holding `adds`, sealed
+// so that its snapshot sees them.
+std::string MakeStream(const std::string& leaf,
+                       const std::vector<Rect>& adds) {
+  const std::string dir = TempPath(leaf);
+  std::remove((dir + "/wal.log").c_str());
+  std::remove((dir + "/MANIFEST").c_str());
+  stream::StreamOptions options;
+  options.seal_every = 1;
+  options.fsync_always = false;
+  EXPECT_TRUE(stream::StreamIngest::Init(dir, options).ok());
+  auto ingest = stream::StreamIngest::Open(dir);
+  EXPECT_TRUE(ingest.ok());
+  std::vector<stream::StreamOp> batch;
+  for (const Rect& r : adds) batch.push_back({stream::OpKind::kAdd, r});
+  EXPECT_TRUE((*ingest)->Apply(batch).ok());
+  return dir;
+}
+
+void RemoveStream(const std::string& dir) {
+  std::remove((dir + "/wal.log").c_str());
+  std::remove((dir + "/MANIFEST").c_str());
+}
+
+TEST(CliTest, IngestEstimateIsClampedLikeEstimate) {
+  // One rect covering the whole frame on both sides: the raw GH estimate
+  // is 4, but one rect joins one rect at most once.
+  Dataset one("one");
+  one.Add(Rect(0, 0, 1, 1));
+  const std::string path = TempPath("cli_one_rect.ds");
+  ASSERT_TRUE(one.Save(path).ok());
+  const std::string dir = MakeStream("cli_stream_one", {Rect(0, 0, 1, 1)});
+
+  CliResult r = RunTool({"ingest", dir, "--estimate=" + path});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("snapshot_seq=1 estimated_pairs=1 clamped=yes\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("validation (b): checked=1 non_finite=0"),
+            std::string::npos)
+      << r.out;
+
+  r = RunTool({"estimate", path, path});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("estimated pairs      : 1.0\n"), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("clamped              : yes"), std::string::npos)
+      << r.out;
+  RemoveStream(dir);
+  std::remove(path.c_str());
+}
+
+TEST(CliTest, IngestEstimateQuarantinesNanRectsOfB) {
+  Dataset clean("clean");
+  clean.Add(Rect(0.1, 0.2, 0.4, 0.7));
+  clean.Add(Rect(0.3, 0.0, 0.6, 0.5));
+  Dataset first_bad("first_bad");
+  first_bad.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 0.5, 0.5));
+  for (const Rect& r : clean.rects()) first_bad.Add(r);
+  const std::string clean_path = TempPath("cli_clean2.ds");
+  const std::string bad_path = TempPath("cli_nan_first_b.ds");
+  ASSERT_TRUE(clean.Save(clean_path).ok());
+  ASSERT_TRUE(first_bad.Save(bad_path).ok());
+  const std::string dir = MakeStream(
+      "cli_stream_nan", {Rect(0.05, 0.05, 0.35, 0.35), Rect(0.2, 0.3, 0.5, 0.9),
+                         Rect(0.5, 0.1, 0.8, 0.4)});
+
+  const CliResult bad = RunTool({"ingest", dir, "--estimate=" + bad_path});
+  const CliResult good = RunTool({"ingest", dir, "--estimate=" + clean_path});
+  ASSERT_EQ(bad.code, 0) << bad.err;
+  ASSERT_EQ(good.code, 0) << good.err;
+  const auto first_line = [](const std::string& out) {
+    return out.substr(0, out.find('\n'));
+  };
+  EXPECT_EQ(first_line(bad.out), first_line(good.out));
+  EXPECT_NE(bad.out.find("clamped=no"), std::string::npos) << bad.out;
+  EXPECT_NE(bad.out.find("validation (b): checked=3 non_finite=1"),
+            std::string::npos)
+      << bad.out;
+  EXPECT_NE(bad.out.find("quarantined=1"), std::string::npos) << bad.out;
+  RemoveStream(dir);
+  std::remove(clean_path.c_str());
+  std::remove(bad_path.c_str());
 }
 
 }  // namespace

@@ -6,11 +6,10 @@
 // lets the SoA fast paths slot under the record-and-replay determinism
 // scheme (docs/ARCHITECTURE.md, "Data-level parallelism").
 //
-// Backend matrix: each lane test diffs the scalar kernel against EVERY
-// SIMD backend this machine can run (AVX2 and AVX-512 where available);
-// CI additionally forces SJSEL_KERNEL_BACKEND=scalar / =avx2 through the
-// whole suite so the scalar and narrow-vector paths get full runs even on
-// wide machines.
+// Backend matrix: each lane test diffs the scalar kernel against the AVX2
+// backend where this machine can run it; CI additionally forces
+// SJSEL_KERNEL_BACKEND=scalar through the whole suite so the scalar paths
+// get a full run on AVX2 machines too.
 
 #include <gtest/gtest.h>
 
@@ -36,21 +35,18 @@ namespace {
 
 const Rect kUnit(0, 0, 1, 1);
 
-// Every non-scalar backend this machine can run. Empty on a plain-SSE x86
-// or non-x86 build — the lane tests skip, and the composed tests still
-// cover the scalar paths.
+// The non-scalar backend this machine can run, if any. Empty on a
+// plain-SSE x86 or non-x86 build — the lane tests skip, and the composed
+// tests still cover the scalar paths.
 std::vector<KernelBackend> AvailableSimdBackends() {
-  std::vector<KernelBackend> backends;
-  for (const KernelBackend b : {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
-    if (KernelBackendAvailable(b)) backends.push_back(b);
-  }
-  return backends;
+  if (!KernelBackendAvailable(KernelBackend::kAvx2)) return {};
+  return {KernelBackend::kAvx2};
 }
 
 // Restores runtime dispatch after every test, pass or fail.
 class KernelEquivalenceTest : public ::testing::Test {
  protected:
-  void TearDown() override { ClearKernelBackendOverrideForTesting(); }
+  void TearDown() override { ClearKernelBackendOverride(); }
 };
 
 Dataset UniformData(size_t n, uint64_t seed) {
@@ -91,11 +87,11 @@ TEST_F(KernelEquivalenceTest, CellRangeBatchLaneExact) {
                      grid->per_axis()};
     AlignedVector<int32_t> sx0(n), sy0(n), sx1(n), sy1(n);
     AlignedVector<int32_t> vx0(n), vy0(n), vx1(n), vy1(n);
-    SetKernelBackendForTesting(KernelBackend::kScalar);
+    SetKernelBackendOverride(KernelBackend::kScalar);
     CellRangeBatch(g, soa.Slice(), sx0.data(), sy0.data(), sx1.data(),
                    sy1.data());
     for (const KernelBackend backend : simd) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       CellRangeBatch(g, soa.Slice(), vx0.data(), vy0.data(), vx1.data(),
                      vy1.data());
       for (size_t i = 0; i < n; ++i) {
@@ -121,57 +117,6 @@ TEST_F(KernelEquivalenceTest, CellRangeBatchLaneExact) {
   }
 }
 
-TEST_F(KernelEquivalenceTest, GhSingleCellTermsBatchBitwise) {
-  const std::vector<KernelBackend> simd = AvailableSimdBackends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  const Dataset ds = WithBoundaryCases(SkewedData(997, 13));
-  const SoaDataset soa = SoaDataset::FromDataset(ds);
-  const size_t n = soa.size();
-  const auto grid = Grid::Create(kUnit, 5);
-  const GridGeom g{grid->extent().min_x, grid->extent().min_y,
-                   grid->cell_width(), grid->cell_height(),
-                   grid->per_axis()};
-  AlignedVector<int32_t> x0(n), y0(n), x1(n), y1(n);
-  CellRangeBatch(g, soa.Slice(), x0.data(), y0.data(), x1.data(), y1.data());
-
-  AlignedVector<double> sa(n), sh(n), sv(n), va(n), vh(n), vv(n);
-  SetKernelBackendForTesting(KernelBackend::kScalar);
-  GhSingleCellTermsBatch(g, soa.Slice(), x0.data(), y0.data(), sa.data(),
-                         sh.data(), sv.data());
-  for (const KernelBackend backend : simd) {
-    SetKernelBackendForTesting(backend);
-    GhSingleCellTermsBatch(g, soa.Slice(), x0.data(), y0.data(), va.data(),
-                           vh.data(), vv.data());
-    for (size_t i = 0; i < n; ++i) {
-      // ASSERT_EQ on doubles: bitwise-equal values (0.0 == -0.0 aside,
-      // which is itself the semantics std::min/max give).
-      ASSERT_EQ(sa[i], va[i]) << KernelBackendName(backend) << " lane " << i;
-      ASSERT_EQ(sh[i], vh[i]) << KernelBackendName(backend) << " lane " << i;
-      ASSERT_EQ(sv[i], vv[i]) << KernelBackendName(backend) << " lane " << i;
-    }
-  }
-}
-
-TEST_F(KernelEquivalenceTest, PhContainedTermsBatchBitwise) {
-  const std::vector<KernelBackend> simd = AvailableSimdBackends();
-  if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  const Dataset ds = WithBoundaryCases(UniformData(513, 17));
-  const SoaDataset soa = SoaDataset::FromDataset(ds);
-  const size_t n = soa.size();
-  AlignedVector<double> sa(n), sw(n), sh(n), va(n), vw(n), vh(n);
-  SetKernelBackendForTesting(KernelBackend::kScalar);
-  PhContainedTermsBatch(soa.Slice(), sa.data(), sw.data(), sh.data());
-  for (const KernelBackend backend : simd) {
-    SetKernelBackendForTesting(backend);
-    PhContainedTermsBatch(soa.Slice(), va.data(), vw.data(), vh.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(sa[i], va[i]) << KernelBackendName(backend) << " lane " << i;
-      ASSERT_EQ(sw[i], vw[i]) << KernelBackendName(backend) << " lane " << i;
-      ASSERT_EQ(sh[i], vh[i]) << KernelBackendName(backend) << " lane " << i;
-    }
-  }
-}
-
 TEST_F(KernelEquivalenceTest, GhEntryTermsBatchBitwise) {
   const std::vector<KernelBackend> simd = AvailableSimdBackends();
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this host";
@@ -188,11 +133,11 @@ TEST_F(KernelEquivalenceTest, GhEntryTermsBatchBitwise) {
     h[i] = (i % 5 == 0) ? g.cell_h : 1e-14 * static_cast<double>(i);
   }
   AlignedVector<double> sa(n), shf(n), svf(n), va(n), vhf(n), vvf(n);
-  SetKernelBackendForTesting(KernelBackend::kScalar);
+  SetKernelBackendOverride(KernelBackend::kScalar);
   GhEntryTermsBatch(g, n, w.data(), h.data(), sa.data(), shf.data(),
                     svf.data());
   for (const KernelBackend backend : simd) {
-    SetKernelBackendForTesting(backend);
+    SetKernelBackendOverride(backend);
     GhEntryTermsBatch(g, n, w.data(), h.data(), va.data(), vhf.data(),
                       vvf.data());
     for (size_t i = 0; i < n; ++i) {
@@ -234,7 +179,7 @@ TEST_F(KernelEquivalenceTest, GhRectTermsBatchBitwise) {
                      grid->cell_width(), grid->cell_height(),
                      grid->per_axis()};
     GhTermsArrays s(n), v(n);
-    SetKernelBackendForTesting(KernelBackend::kScalar);
+    SetKernelBackendOverride(KernelBackend::kScalar);
     GhRectTermsBatch(g, ds.rects().data(), n, s.Out());
     // The cell range must agree with the Grid the builds use.
     for (size_t i = 0; i < n; ++i) {
@@ -246,7 +191,7 @@ TEST_F(KernelEquivalenceTest, GhRectTermsBatchBitwise) {
       ASSERT_EQ(s.y1[i], y1) << "lane " << i;
     }
     for (const KernelBackend backend : simd) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       GhRectTermsBatch(g, ds.rects().data(), n, v.Out());
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(s.x0[i], v.x0[i]) << KernelBackendName(backend) << " level "
@@ -282,7 +227,7 @@ TEST_F(KernelEquivalenceTest, PhRectClipBatchBitwise) {
     AlignedVector<double> sw0(n), sw1(n), sh0(n), sh1(n);
     AlignedVector<int32_t> vx0(n), vy0(n), vx1(n), vy1(n);
     AlignedVector<double> vw0(n), vw1(n), vh0(n), vh1(n);
-    SetKernelBackendForTesting(KernelBackend::kScalar);
+    SetKernelBackendOverride(KernelBackend::kScalar);
     PhRectClipBatch(g, ds.rects().data(), n,
                     PhRectClipOut{sx0.data(), sy0.data(), sx1.data(),
                                   sy1.data(), sw0.data(), sw1.data(),
@@ -300,7 +245,7 @@ TEST_F(KernelEquivalenceTest, PhRectClipBatchBitwise) {
           << "level " << level << " lane " << i;
     }
     for (const KernelBackend backend : simd) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       PhRectClipBatch(g, ds.rects().data(), n,
                       PhRectClipOut{vx0.data(), vy0.data(), vx1.data(),
                                     vy1.data(), vw0.data(), vw1.data(),
@@ -333,10 +278,10 @@ TEST_F(KernelEquivalenceTest, IntersectMask64MatchesRectIntersects) {
   for (const Rect& probe : probes) {
     for (size_t begin = 0; begin < soa.size(); begin += 37) {
       const size_t n = std::min<size_t>(64, soa.size() - begin);
-      SetKernelBackendForTesting(KernelBackend::kScalar);
+      SetKernelBackendOverride(KernelBackend::kScalar);
       const uint64_t scalar = IntersectMask64(soa.Slice(), begin, n, probe);
       for (const KernelBackend backend : simd) {
-        SetKernelBackendForTesting(backend);
+        SetKernelBackendOverride(backend);
         ASSERT_EQ(scalar, IntersectMask64(soa.Slice(), begin, n, probe))
             << KernelBackendName(backend) << " begin " << begin;
       }
@@ -359,10 +304,10 @@ TEST_F(KernelEquivalenceTest, SortedPrefixLeqMatchesScalarScan) {
   keys.push_back(0.25);
   for (double bound : {-1.0, -0.0, 0.0, 0.005, 0.3, 0.5, 2.0}) {
     for (size_t begin : {size_t{0}, size_t{1}, size_t{77}, keys.size() - 2}) {
-      SetKernelBackendForTesting(KernelBackend::kScalar);
+      SetKernelBackendOverride(KernelBackend::kScalar);
       const size_t s = SortedPrefixLeq(keys.data(), begin, keys.size(), bound);
       for (const KernelBackend backend : simd) {
-        SetKernelBackendForTesting(backend);
+        SetKernelBackendOverride(backend);
         ASSERT_EQ(s, SortedPrefixLeq(keys.data(), begin, keys.size(), bound))
             << KernelBackendName(backend) << " bound " << bound << " begin "
             << begin;
@@ -380,8 +325,7 @@ TEST_F(KernelEquivalenceTest, SortedPrefixLeqMatchesScalarScan) {
 // --- Dispatch plumbing: name/parse round-trips and override precedence.
 
 TEST_F(KernelEquivalenceTest, ParseAndNameRoundTrip) {
-  for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
+  for (const KernelBackend b : {KernelBackend::kScalar, KernelBackend::kAvx2}) {
     KernelBackend parsed = KernelBackend::kScalar;
     ASSERT_TRUE(ParseKernelBackend(KernelBackendName(b), &parsed));
     EXPECT_EQ(parsed, b);
@@ -389,13 +333,14 @@ TEST_F(KernelEquivalenceTest, ParseAndNameRoundTrip) {
   KernelBackend parsed = KernelBackend::kAvx2;
   EXPECT_FALSE(ParseKernelBackend("sse9", &parsed));
   EXPECT_FALSE(ParseKernelBackend("neon", &parsed));
+  EXPECT_FALSE(ParseKernelBackend("avx512", &parsed));
   EXPECT_FALSE(ParseKernelBackend("", &parsed));
   EXPECT_EQ(parsed, KernelBackend::kAvx2);  // unknown names leave *out alone
   EXPECT_TRUE(KernelBackendAvailable(KernelBackend::kScalar));
 }
 
 TEST_F(KernelEquivalenceTest, DispatchInfoReportsOverrideSource) {
-  ClearKernelBackendOverrideForTesting();
+  ClearKernelBackendOverride();
   const KernelDispatchInfo detected = GetKernelDispatchInfo();
   EXPECT_EQ(detected.detected, DetectKernelBackend());
   // With no programmatic override the source is env or detection —
@@ -404,13 +349,13 @@ TEST_F(KernelEquivalenceTest, DispatchInfoReportsOverrideSource) {
   EXPECT_TRUE(std::string(detected.source) == "detected" ||
               std::string(detected.source) == "env");
 
-  SetKernelBackendForTesting(KernelBackend::kScalar);
+  SetKernelBackendOverride(KernelBackend::kScalar);
   const KernelDispatchInfo forced = GetKernelDispatchInfo();
   EXPECT_EQ(forced.active, KernelBackend::kScalar);
   EXPECT_EQ(std::string(forced.source), "override");
   EXPECT_EQ(forced.detected, detected.detected);
 
-  ClearKernelBackendOverrideForTesting();
+  ClearKernelBackendOverride();
   EXPECT_EQ(GetKernelDispatchInfo().active, detected.active);
 }
 
@@ -425,7 +370,7 @@ struct BuildCase {
 class BuildEquivalenceTest
     : public ::testing::TestWithParam<BuildCase> {
  protected:
-  void TearDown() override { ClearKernelBackendOverrideForTesting(); }
+  void TearDown() override { ClearKernelBackendOverride(); }
 };
 
 std::vector<KernelBackend> BackendsToTest() {
@@ -445,7 +390,7 @@ TEST_P(BuildEquivalenceTest, GhBuildBitIdenticalToAddRectLoop) {
     ASSERT_TRUE(reference.ok());
     for (size_t i = 0; i < ds.size(); ++i) reference->AddRect(ds[i]);
     for (const KernelBackend backend : BackendsToTest()) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const auto hist = GhHistogram::Build(ds, kUnit, 6, variant, c.threads);
       ASSERT_TRUE(hist.ok());
       // EXPECT_EQ on the double vectors: bitwise equality, not tolerance.
@@ -468,7 +413,7 @@ TEST_P(BuildEquivalenceTest, PhBuildBitIdenticalToAddRectLoop) {
     ASSERT_TRUE(reference.ok());
     for (size_t i = 0; i < ds.size(); ++i) reference->AddRect(ds[i]);
     for (const KernelBackend backend : BackendsToTest()) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const auto hist = PhHistogram::Build(ds, kUnit, 6, variant, c.threads);
       ASSERT_TRUE(hist.ok());
       EXPECT_EQ(hist->avg_span(), reference->avg_span())
@@ -510,7 +455,7 @@ TEST_P(BuildEquivalenceTest, BuildRegimesAgreeAcrossGridLevels) {
       ph_ref->AddRect(ds[i]);
     }
     for (const KernelBackend backend : BackendsToTest()) {
-      SetKernelBackendForTesting(backend);
+      SetKernelBackendOverride(backend);
       const auto gh = GhHistogram::Build(ds, kUnit, level, GhVariant::kRevised,
                                          c.threads);
       ASSERT_TRUE(gh.ok());
@@ -548,7 +493,7 @@ TEST_P(BuildEquivalenceTest, JoinsExactAcrossBackendsAndThreads) {
   const uint64_t expected = NestedLoopJoinCount(a, b);
 
   // The reference pair sequence (scalar backend, serial PBSM).
-  SetKernelBackendForTesting(KernelBackend::kScalar);
+  SetKernelBackendOverride(KernelBackend::kScalar);
   std::vector<std::pair<int64_t, int64_t>> reference;
   PbsmOptions serial;
   PbsmJoin(a, b, [&](int64_t x, int64_t y) { reference.emplace_back(x, y); },
@@ -556,7 +501,7 @@ TEST_P(BuildEquivalenceTest, JoinsExactAcrossBackendsAndThreads) {
   ASSERT_EQ(reference.size(), expected);
 
   for (const KernelBackend backend : BackendsToTest()) {
-    SetKernelBackendForTesting(backend);
+    SetKernelBackendOverride(backend);
     EXPECT_EQ(PlaneSweepJoinCount(a, b), expected)
         << KernelBackendName(backend);
     PbsmOptions options;
@@ -583,7 +528,7 @@ TEST_P(BuildEquivalenceTest, SamplingPlaneSweepMatchesRTreeJoin) {
   const auto rtree = EstimateBySampling(a, b, options);
   ASSERT_TRUE(rtree.ok());
   for (const KernelBackend backend : BackendsToTest()) {
-    SetKernelBackendForTesting(backend);
+    SetKernelBackendOverride(backend);
     options.join_algo = SampleJoinAlgo::kPlaneSweep;
     const auto sweep = EstimateBySampling(a, b, options);
     ASSERT_TRUE(sweep.ok());

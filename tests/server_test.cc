@@ -736,6 +736,115 @@ TEST_F(ServerTest, IngestLifecycleOverHandleLine) {
   std::remove((dir + "/base.2.ph").c_str());
 }
 
+// A fresh stream directory at `leaf`, initialized over the unit square
+// with `adds` as its first batch and sealed after every batch.
+std::string InitStreamOverHandleLine(Server* server, const std::string& leaf,
+                                     const std::string& adds) {
+  const std::string dir = ::testing::TempDir() + "/" + leaf;
+  std::remove((dir + "/wal.log").c_str());
+  std::remove((dir + "/MANIFEST").c_str());
+  const std::string response = server->HandleLine(
+      R"({"op":"ingest","stream":")" + dir +
+      R"(","extent":[0,0,1,1],"seal_every":1,"adds":)" + adds + "}");
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  return dir;
+}
+
+void RemoveStream(const std::string& dir) {
+  std::remove((dir + "/wal.log").c_str());
+  std::remove((dir + "/MANIFEST").c_str());
+}
+
+TEST_F(ServerTest, StreamEstimateIsClampedLikeEstimate) {
+  // One rect covering the whole frame on both sides: the raw GH estimate
+  // is 4, but one rect joins one rect at most once.
+  const std::string one = ::testing::TempDir() + "/server_one_rect.ds";
+  Dataset ds("one");
+  ds.Add(Rect(0, 0, 1, 1));
+  ASSERT_TRUE(ds.Save(one).ok());
+  Server server(ServerOptions{});
+  const std::string dir =
+      InitStreamOverHandleLine(&server, "server_stream_one", "[[0,0,1,1]]");
+
+  const JsonValue est = Handle(
+      &server, R"({"op":"stream_estimate","stream":")" + dir +
+                   R"(","b":")" + one + R"("})");
+  ASSERT_TRUE(est.Find("ok")->bool_value());
+  const JsonValue* result = est.Find("result");
+  EXPECT_EQ(result->Find("estimated_pairs")->number_value(), 1.0);
+  EXPECT_EQ(result->Find("selectivity")->number_value(), 1.0);
+  EXPECT_TRUE(result->Find("clamped")->bool_value());
+
+  const JsonValue pair = Handle(
+      &server,
+      R"({"op":"estimate","a":")" + one + R"(","b":")" + one + R"("})");
+  ASSERT_TRUE(pair.Find("ok")->bool_value());
+  EXPECT_EQ(pair.Find("result")->Find("estimated_pairs")->number_value(),
+            1.0);
+  EXPECT_TRUE(pair.Find("result")->Find("clamped")->bool_value());
+  RemoveStream(dir);
+  std::remove(one.c_str());
+}
+
+TEST_F(ServerTest, StreamEstimateQuarantinesNanRectsOfB) {
+  Dataset clean("clean");
+  clean.Add(Rect(0.1, 0.2, 0.4, 0.7));
+  clean.Add(Rect(0.3, 0.0, 0.6, 0.5));
+  Dataset first_bad("first_bad");
+  first_bad.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 0.5, 0.5));
+  for (const Rect& r : clean.rects()) first_bad.Add(r);
+  const std::string clean_path = ::testing::TempDir() + "/server_clean2.ds";
+  const std::string bad_path = ::testing::TempDir() + "/server_nan_first.ds";
+  ASSERT_TRUE(clean.Save(clean_path).ok());
+  ASSERT_TRUE(first_bad.Save(bad_path).ok());
+
+  Server server(ServerOptions{});
+  const std::string dir = InitStreamOverHandleLine(
+      &server, "server_stream_nan",
+      "[[0.05,0.05,0.35,0.35],[0.2,0.3,0.5,0.9],[0.5,0.1,0.8,0.4]]");
+  const auto stream_estimate = [&](const std::string& b) {
+    return Handle(&server, R"({"op":"stream_estimate","stream":")" + dir +
+                               R"(","b":")" + b + R"("})");
+  };
+  const JsonValue bad = stream_estimate(bad_path);
+  const JsonValue good = stream_estimate(clean_path);
+  ASSERT_TRUE(bad.Find("ok")->bool_value());
+  ASSERT_TRUE(good.Find("ok")->bool_value());
+  EXPECT_EQ(bad.Find("result")->Find("estimated_pairs")->number_value(),
+            good.Find("result")->Find("estimated_pairs")->number_value());
+  EXPECT_EQ(bad.Find("result")->Find("selectivity")->number_value(),
+            good.Find("result")->Find("selectivity")->number_value());
+  EXPECT_FALSE(bad.Find("result")->Find("clamped")->bool_value());
+  const std::string counters =
+      bad.Find("result")->Find("validation_b")->string_value();
+  EXPECT_NE(counters.find("checked=3 non_finite=1"), std::string::npos)
+      << counters;
+  EXPECT_NE(counters.find("quarantined=1"), std::string::npos) << counters;
+
+  // Under reject, the defective b fails with the error `estimate` gives.
+  ServerOptions strict;
+  strict.estimator.policy = ValidationPolicy::kReject;
+  Server reject(strict);
+  const std::string strict_dir = InitStreamOverHandleLine(
+      &reject, "server_stream_nan_reject", "[[0.05,0.05,0.35,0.35]]");
+  const JsonValue refused = Handle(
+      &reject, R"({"op":"stream_estimate","stream":")" + strict_dir +
+                   R"(","b":")" + bad_path + R"("})");
+  const JsonValue pair_refused = Handle(
+      &reject, R"({"op":"estimate","a":")" + clean_path + R"(","b":")" +
+                   bad_path + R"("})");
+  EXPECT_FALSE(refused.Find("ok")->bool_value());
+  EXPECT_FALSE(pair_refused.Find("ok")->bool_value());
+  EXPECT_NE(ErrorCode(refused), "");
+  EXPECT_EQ(ErrorCode(refused), ErrorCode(pair_refused));
+  EXPECT_EQ(refused.Find("error")->Find("message")->string_value(),
+            pair_refused.Find("error")->Find("message")->string_value());
+  RemoveStream(dir);
+  RemoveStream(strict_dir);
+  std::remove(clean_path.c_str());
+  std::remove(bad_path.c_str());
+}
+
 TEST_F(ServerTest, ConnectWithRetryWaitsOutServerStartup) {
   ServerOptions options;
   options.socket_path = SocketPath("sjsel_retry.sock");
