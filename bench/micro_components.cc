@@ -13,7 +13,6 @@
 #include "join/pbsm.h"
 #include "join/plane_sweep.h"
 #include "join/rtree_join.h"
-#include "quadtree/quadtree.h"
 #include "rtree/rtree.h"
 #include "util/random.h"
 
@@ -73,48 +72,6 @@ void BM_MortonEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MortonEncode);
-
-void BM_QuadtreeBuild(benchmark::State& state) {
-  const Dataset ds = MakeUniform(static_cast<size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    const Quadtree tree = Quadtree::BuildFrom(ds);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_QuadtreeBuild)->Arg(10000);
-
-void BM_QuadtreeRangeQuery(benchmark::State& state) {
-  const Dataset ds = MakeClustered(50000, 5);
-  const Quadtree tree = Quadtree::BuildFrom(ds);
-  Rng rng(7);
-  for (auto _ : state) {
-    const double x = rng.NextDouble() * 0.9;
-    const double y = rng.NextDouble() * 0.9;
-    benchmark::DoNotOptimize(tree.CountRange(Rect(x, y, x + 0.05, y + 0.05)));
-  }
-}
-BENCHMARK(BM_QuadtreeRangeQuery);
-
-void BM_JoinQuadtree(benchmark::State& state) {
-  const Dataset a = MakeUniform(static_cast<size_t>(state.range(0)), 11);
-  const Dataset b = MakeClustered(static_cast<size_t>(state.range(0)), 12);
-  Rect extent = a.ComputeExtent();
-  extent.Extend(b.ComputeExtent());
-  Quadtree ta(extent);
-  Quadtree tb(extent);
-  for (size_t i = 0; i < a.size(); ++i) {
-    ta.Insert(a[i], static_cast<int64_t>(i));
-  }
-  for (size_t i = 0; i < b.size(); ++i) {
-    tb.Insert(b[i], static_cast<int64_t>(i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(QuadtreeJoinCount(ta, tb).value_or(0));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
-}
-BENCHMARK(BM_JoinQuadtree)->Arg(20000);
 
 void BM_RTreeBuildInsertion(benchmark::State& state) {
   const Dataset ds = MakeUniform(static_cast<size_t>(state.range(0)), 3);

@@ -5,8 +5,9 @@
 # error paths, then shut down gracefully and assert that
 #
 #   1. every response is the expected ok/error shape,
-#   2. the final metrics snapshot counts server.requests.answered,
-#   3. the daemon exits cleanly (exit 0, "served N requests", socket
+#   2. the server's explain report equals the CLI's explain --json file,
+#   3. the final metrics snapshot counts server.requests.answered,
+#   4. the daemon exits cleanly (exit 0, "served N requests", socket
 #      file removed).
 #
 # Usage: server_smoke.sh <path-to-sjsel-binary> [workdir]
@@ -61,6 +62,7 @@ RESPONSES=$("$SJSEL" client "$SOCK" <<'EOF'
 {"id":5,"op":"frobnicate"}
 {"id":6,"op":"plan","paths":["a.ds","b.ds","c.ds"]}
 {"id":7,"op":"stats"}
+{"id":8,"op":"explain","a":"a.ds","b":"b.ds","level":5,"exact":true}
 EOF
 ) || fail "client session errored"
 echo "$RESPONSES"
@@ -83,6 +85,17 @@ expect '"server.requests.answered"'
 PAIRS_CLI=$("$SJSEL" estimate a.ds b.ds | sed -n 's/^estimated pairs *: //p')
 echo "$RESPONSES" | grep -q "\"estimated_pairs_text\":\"$PAIRS_CLI\"" \
   || fail "server estimate '$PAIRS_CLI' differs from CLI"
+
+# The server's explain report is the CLI's `explain --json` file byte for
+# byte: both are the same JSON document, dumped by the same writer.
+"$SJSEL" explain a.ds b.ds --level=5 --exact --json=explain.json > /dev/null \
+  || fail "CLI explain"
+echo "$RESPONSES" \
+  | sed -n 's/^{"id":8,"ok":true,"result":{"report":\(.*\)},"request_id":.*$/\1/p' \
+  > explain_report.json
+[ -s explain_report.json ] || fail "no explain report in the responses"
+printf '%s' "$(cat explain_report.json)" | cmp -s - explain.json \
+  || fail "server explain report differs from the CLI's explain --json"
 
 # Graceful shutdown via the protocol; the daemon must exit 0 by itself.
 "$SJSEL" client "$SOCK" '{"id":99,"op":"shutdown"}' \

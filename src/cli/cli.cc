@@ -34,7 +34,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "planner/join_planner.h"
-#include "quadtree/quadtree.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "rtree/rtree.h"
@@ -160,8 +159,8 @@ int Usage(std::FILE* err) {
                " [--explain]\n"
                "      dataset inputs run the guarded fallback chain"
                " (gh->ph->sampling->parametric);\n"
-               "      --verify also runs the exact plane-sweep join and"
-               " reports the relative error;\n"
+               "      --verify also runs the exact plane-sweep join over"
+               " the validated rects and reports the relative error;\n"
                "      --explain prints the chain's per-rung trial trail\n"
                "  explain <a.ds> <b.ds> [--scheme=gh|ph] [--level=7]"
                " [--top=10] [--exact] [--json=<file>] [--csv=<file>]"
@@ -174,7 +173,7 @@ int Usage(std::FILE* err) {
                "      the exact join; --json/--csv write the report /"
                " cell-grid heatmap\n"
                "  range <a.hist> <x0,y0,x1,y1>\n"
-               "  join <a.ds> <b.ds> [--algo=sweep|pbsm|rtree|quadtree|nested]"
+               "  join <a.ds> <b.ds> [--algo=sweep|pbsm|rtree|nested]"
                " [--threads=1]\n"
                "  sample <a.ds> <b.ds> [--method=rs|rswr|ss] [--fa=0.1]"
                " [--fb=0.1] [--seed=1] [--threads=1]\n"
@@ -662,12 +661,18 @@ int CmdEstimateGuarded(const ParsedArgs& args, const Dataset& a,
     return code;
   }
 
-  const GuardedEstimator estimator(options);
-  const auto result = estimator.Estimate(a, b);
-  if (!result.ok()) {
-    std::fprintf(err, "%s\n", result.status().ToString().c_str());
+  const auto fail = [err](const Status& status) {
+    std::fprintf(err, "%s\n", status.ToString().c_str());
     return 1;
-  }
+  };
+  const auto pa = PrepareInput(a, options.policy);
+  if (!pa.ok()) return fail(pa.status());
+  const auto pb = PrepareInput(b, options.policy);
+  if (!pb.ok()) return fail(pb.status());
+  const auto pair = PreparePair(*pa, *pb);
+  if (!pair.ok()) return fail(pair.status());
+  const auto result = GuardedEstimator(options).Estimate(*pair);
+  if (!result.ok()) return fail(result.status());
   std::fprintf(out, "estimated pairs      : %s\n",
                FormatDouble(result->outcome.estimated_pairs, 1).c_str());
   std::fprintf(out, "estimated selectivity: %s\n",
@@ -694,13 +699,15 @@ int CmdEstimateGuarded(const ParsedArgs& args, const Dataset& a,
 
   if (args.Has("verify")) {
     // Ground truth for the estimate above: the exact plane-sweep join over
-    // the raw inputs.
+    // the rects the estimate read.
+    const Dataset& ra = pair->a().rects();
+    const Dataset& rb = pair->b().rects();
     uint64_t actual = 0;
     {
-      SJSEL_TRACE_SPAN("verify.exact_join", "n_a=%zu n_b=%zu", a.size(),
-                       b.size());
+      SJSEL_TRACE_SPAN("verify.exact_join", "n_a=%zu n_b=%zu", ra.size(),
+                       rb.size());
       SJSEL_METRIC_SCOPED_LATENCY("verify.exact_join_us");
-      actual = PlaneSweepJoinCount(a, b);
+      actual = PlaneSweepJoinCount(ra, rb);
     }
     std::fprintf(out, "actual pairs         : %llu\n",
                  static_cast<unsigned long long>(actual));
@@ -748,7 +755,8 @@ int CmdExplain(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
     std::fprintf(err, "%s\n", policy.status().ToString().c_str());
     return 2;
   }
-  options.policy = policy.value();
+  // Each input is prepared once, under --validate.
+  options.guarded.policy = policy.value();
 
   const auto report = obs::BuildEstimateExplain(*a, *b, options);
   if (!report.ok()) {
@@ -891,23 +899,6 @@ int CmdJoin(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
     const RTree ta = RTree::BulkLoadStr(RTree::DatasetEntries(*a));
     const RTree tb = RTree::BulkLoadStr(RTree::DatasetEntries(*b));
     count = RTreeJoinCount(ta, tb, threads);
-  } else if (algo == "quadtree") {
-    Rect extent = a->ComputeExtent();
-    extent.Extend(b->ComputeExtent());
-    Quadtree ta(extent);
-    Quadtree tb(extent);
-    for (size_t i = 0; i < a->size(); ++i) {
-      ta.Insert((*a)[i], static_cast<int64_t>(i));
-    }
-    for (size_t i = 0; i < b->size(); ++i) {
-      tb.Insert((*b)[i], static_cast<int64_t>(i));
-    }
-    const auto result = QuadtreeJoinCount(ta, tb);
-    if (!result.ok()) {
-      std::fprintf(err, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
-    count = result.value();
   } else if (algo == "nested") {
     count = NestedLoopJoinCount(*a, *b);
   } else {

@@ -38,7 +38,7 @@ namespace cli {
 ///                              --threads values (opt-in --timing excepted)
 ///   range <a.hist> <x0,y0,x1,y1>
 ///                              estimated range-query result count (GH)
-///   join <a.ds> <b.ds> [--algo=sweep|pbsm|rtree|quadtree|nested]
+///   join <a.ds> <b.ds> [--algo=sweep|pbsm|rtree|nested]
 ///                              exact filter-step join count
 ///   sample <a.ds> <b.ds> [--method=rs|rswr|ss] [--fa=0.1] [--fb=0.1]
 ///                              [--seed=1]

@@ -113,39 +113,16 @@ Result<std::shared_ptr<const GhHistogram>> BuildGh(const Dataset& rects,
   return std::make_shared<const GhHistogram>(std::move(built).value());
 }
 
-// The GH histogram of `rects` on the (extent, level) grid: the slot's
-// summary when it was built on that grid, else a build, which replaces
-// the summary when the input is WorthKeeping. A null `slot` (rects that
-// are not the input's own) builds and keeps nothing.
-Result<std::shared_ptr<const GhHistogram>> GhHistogramOf(
-    GhSummarySlot* slot, const Dataset& rects, const Rect& extent,
-    int level) {
-  if (slot == nullptr || !WorthKeeping(rects.size(), level)) {
-    return BuildGh(rects, extent, level);
-  }
-  std::lock_guard<std::mutex> lock(slot->mu);
-  if (slot->hist != nullptr && slot->hist->grid().level() == level &&
-      SameGrid(slot->hist->grid().extent(), extent)) {
-    SJSEL_METRIC_INC("hist.gh.summary_hits");
-    return slot->hist;
-  }
-  auto built = BuildGh(rects, extent, level);
-  if (built.ok()) slot->hist = *built;
-  return built;
-}
-
 // The GH rung: GhEstimator's estimate, with each side's histogram from
-// GhHistogramOf. The slots are taken one at a time. The chain sets the
-// selectivity from the range-checked pair count.
-Result<EstimateOutcome> EstimateGh(const Dataset& a, GhSummarySlot* slot_a,
-                                   const Dataset& b, GhSummarySlot* slot_b,
-                                   const Rect& extent, int level) {
+// GhHistogramOn. The chain sets the selectivity from the range-checked
+// pair count.
+Result<EstimateOutcome> EstimateGh(const PreparedPair& pair, int level) {
   EstimateOutcome out;
   Timer timer;
   std::shared_ptr<const GhHistogram> ha;
-  SJSEL_ASSIGN_OR_RETURN(ha, GhHistogramOf(slot_a, a, extent, level));
+  SJSEL_ASSIGN_OR_RETURN(ha, pair.a().GhHistogramOn(pair.frame, level));
   std::shared_ptr<const GhHistogram> hb;
-  SJSEL_ASSIGN_OR_RETURN(hb, GhHistogramOf(slot_b, b, extent, level));
+  SJSEL_ASSIGN_OR_RETURN(hb, pair.b().GhHistogramOn(pair.frame, level));
   out.prepare_seconds = timer.ElapsedSeconds();
 
   timer.Reset();
@@ -154,12 +131,42 @@ Result<EstimateOutcome> EstimateGh(const Dataset& a, GhSummarySlot* slot_a,
   return out;
 }
 
+// `in` validated again against `frame`, as a copy with no summary slot.
+Result<PreparedInput> RevalidatedCopy(const PreparedInput& in,
+                                      const Rect& frame) {
+  PreparedInput copy;
+  copy.source = in.source;
+  copy.policy = in.policy;
+  Dataset validated;
+  SJSEL_ASSIGN_OR_RETURN(validated, ValidateDataset(*in.source, frame,
+                                                    in.policy, &copy.counters));
+  copy.extent = validated.ComputeExtent();
+  copy.validated = std::move(validated);
+  return copy;
+}
+
 }  // namespace
 
 std::shared_ptr<const GhHistogram> PreparedInput::GhSummary() const {
   if (gh_slot == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(gh_slot->mu);
   return gh_slot->hist;
+}
+
+Result<std::shared_ptr<const GhHistogram>> PreparedInput::GhHistogramOn(
+    const Rect& extent, int level) const {
+  if (gh_slot == nullptr || !WorthKeeping(rects().size(), level)) {
+    return BuildGh(rects(), extent, level);
+  }
+  std::lock_guard<std::mutex> lock(gh_slot->mu);
+  if (gh_slot->hist != nullptr && gh_slot->hist->grid().level() == level &&
+      SameGrid(gh_slot->hist->grid().extent(), extent)) {
+    SJSEL_METRIC_INC("hist.gh.summary_hits");
+    return gh_slot->hist;
+  }
+  auto built = BuildGh(rects(), extent, level);
+  if (built.ok()) gh_slot->hist = *built;
+  return built;
 }
 
 const char* EstimatorRungName(EstimatorRung rung) {
@@ -216,49 +223,48 @@ Result<EstimateResult> GuardedEstimator::Estimate(const Dataset& a,
   return Estimate(pa, pb);
 }
 
+Result<PreparedPair> PreparePair(const PreparedInput& a,
+                                 const PreparedInput& b) {
+  PreparedPair pair;
+  pair.input_a = &a;
+  pair.input_b = &b;
+  pair.frame = a.extent;
+  pair.frame.Extend(b.extent);
+  if (!a.PairDependent() && !b.PairDependent()) return pair;
+  // A clamped inverted rect is clipped to the pair's joint extent, so both
+  // inputs are validated again here, against this pair's frame.
+  SJSEL_ASSIGN_OR_RETURN(pair.copy_a, RevalidatedCopy(a, pair.frame));
+  SJSEL_ASSIGN_OR_RETURN(pair.copy_b, RevalidatedCopy(b, pair.frame));
+  pair.frame = pair.copy_a->extent;
+  pair.frame.Extend(pair.copy_b->extent);
+  return pair;
+}
+
 Result<EstimateResult> GuardedEstimator::Estimate(
     const PreparedInput& a, const PreparedInput& b) const {
-  if (a.policy != options_.policy || b.policy != options_.policy) {
+  PreparedPair pair;
+  SJSEL_ASSIGN_OR_RETURN(pair, PreparePair(a, b));
+  return Estimate(pair);
+}
+
+Result<EstimateResult> GuardedEstimator::Estimate(
+    const PreparedPair& pair) const {
+  if (pair.a().policy != options_.policy ||
+      pair.b().policy != options_.policy) {
     return Status::InvalidArgument(
         std::string("inputs prepared under another validation policy than "
                     "the estimator's '") +
         ValidationPolicyName(options_.policy) + "'");
   }
+  const Dataset& va = pair.a().rects();
+  const Dataset& vb = pair.b().rects();
   SJSEL_TRACE_SPAN("estimate.guarded", "n_a=%zu n_b=%zu policy=%s",
-                   a.source->size(), b.source->size(),
+                   pair.a().source->size(), pair.b().source->size(),
                    ValidationPolicyName(options_.policy));
   SJSEL_METRIC_INC("estimator.estimates");
   EstimateResult result;
-  result.validation_a = a.counters;
-  result.validation_b = b.counters;
-
-  // The frame every rung shares: the joint extent of both inputs.
-  Rect extent = a.extent;
-  extent.Extend(b.extent);
-  const Dataset* va_ptr = &a.rects();
-  const Dataset* vb_ptr = &b.rects();
-  // A clamped inverted rect is clipped to the pair's joint extent, so such
-  // an input is validated again here, against this pair's frame.
-  Dataset pair_a;
-  Dataset pair_b;
-  const bool per_pair = a.PairDependent() || b.PairDependent();
-  if (per_pair) {
-    SJSEL_ASSIGN_OR_RETURN(pair_a,
-                           ValidateDataset(*a.source, extent, options_.policy,
-                                           &result.validation_a));
-    SJSEL_ASSIGN_OR_RETURN(pair_b,
-                           ValidateDataset(*b.source, extent, options_.policy,
-                                           &result.validation_b));
-    va_ptr = &pair_a;
-    vb_ptr = &pair_b;
-    extent = pair_a.ComputeExtent();
-    extent.Extend(pair_b.ComputeExtent());
-  }
-  const Dataset& va = *va_ptr;
-  const Dataset& vb = *vb_ptr;
-  // Per-pair copies are not the inputs' own rects, so they use no slot.
-  GhSummarySlot* const slot_a = per_pair ? nullptr : a.gh_slot.get();
-  GhSummarySlot* const slot_b = per_pair ? nullptr : b.gh_slot.get();
+  result.validation_a = pair.a().counters;
+  result.validation_b = pair.b().counters;
 
   // An input that is empty (or empty after quarantine) joins with nothing;
   // a zero estimate is the correct, finite, in-range answer.
@@ -316,9 +322,8 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       // The GH rung computes GhEstimator's estimate through the inputs'
       // summary slots; its estimator object only names the trial.
       outcome = rung == EstimatorRung::kGh
-                    ? EstimateGh(va, slot_a, vb, slot_b, extent,
-                                 options_.gh_level)
-                    : estimator->EstimateWithin(va, vb, extent);
+                    ? EstimateGh(pair, options_.gh_level)
+                    : estimator->EstimateWithin(va, vb, pair.frame);
     } catch (const std::exception&) {
       // Injected worker faults surface here as FaultInjectedError rethrown
       // by ParallelFor; treat any rung exception as that rung failing.

@@ -124,10 +124,10 @@ struct GuardedEstimatorOptions {
 /// joint extent, so GuardedEstimator re-validates such an input per pair
 /// from `source` (see PairDependent).
 ///
-/// An input also carries one GH summary slot, which the GH rung of
-/// GuardedEstimator::Estimate fills and reads: the GH histogram of
-/// rects() on the grid of the last pair that asked for one, so every
-/// later pair on that grid skips the build. See GuardedEstimator.
+/// An input also carries one GH summary slot, which GhHistogramOn fills
+/// and reads for the chain's GH rung and explain's GH table: the GH
+/// histogram of rects() on the grid of the last pair that asked for one,
+/// so every later pair on that grid skips the build.
 struct PreparedInput {
   /// The dataset as given. Borrowed: it must outlive this object.
   const Dataset* source = nullptr;
@@ -157,6 +157,16 @@ struct PreparedInput {
 
   /// The GH summary the slot holds now, or null.
   std::shared_ptr<const GhHistogram> GhSummary() const;
+
+  /// The GH histogram of rects() on the (extent, level) grid: the summary
+  /// when it was built on that grid (extent compared bitwise), else a
+  /// build, which replaces the summary when the input has at least
+  /// 4^level rects, so a summary is never larger than the rects it
+  /// summarizes. An input without a slot builds and keeps nothing. The
+  /// slot's lock is held across a build, so concurrent callers wait for
+  /// one build.
+  Result<std::shared_ptr<const GhHistogram>> GhHistogramOn(const Rect& extent,
+                                                           int level) const;
 };
 
 /// Validates `dataset` by itself under `policy`, with one classification
@@ -164,6 +174,33 @@ struct PreparedInput {
 /// error ValidateDataset gives for the first defective rect.
 Result<PreparedInput> PrepareInput(const Dataset& dataset,
                                    ValidationPolicy policy);
+
+/// A pair of prepared inputs as the chain estimates it: the frame every
+/// rung grids on and, on each side, the input whose rects() are
+/// estimated. PreparePair is the one place that decides both; the chain,
+/// obs::BuildEstimateExplain, the server's accuracy audit and CLI
+/// `estimate --verify` all read them from here, so each describes the data
+/// the estimate read.
+struct PreparedPair {
+  /// The inputs given to PreparePair. Borrowed: they must outlive the pair.
+  const PreparedInput* input_a = nullptr;
+  const PreparedInput* input_b = nullptr;
+  /// Copies of both inputs re-validated against the frame, present only
+  /// when either input is PairDependent(). A copy has no summary slot.
+  std::optional<PreparedInput> copy_a;
+  std::optional<PreparedInput> copy_b;
+  /// The joint extent of both sides' rects.
+  Rect frame = Rect::Empty();
+
+  const PreparedInput& a() const { return copy_a ? *copy_a : *input_a; }
+  const PreparedInput& b() const { return copy_b ? *copy_b : *input_b; }
+};
+
+/// Joins the two prepared extents into the pair's frame. When either input
+/// is PairDependent(), both are validated again against that frame, under
+/// their own policies, and the frame is recomputed from the copies.
+Result<PreparedPair> PreparePair(const PreparedInput& a,
+                                 const PreparedInput& b);
 
 /// Guardrailed facade over the whole estimator family. Every estimate is
 /// validated before use: non-finite, negative and out-of-range values trip
@@ -175,17 +212,12 @@ Result<PreparedInput> PrepareInput(const Dataset& dataset,
 /// after validation... and even the latter yields a well-defined zero
 /// estimate, not an error (an empty side joins with nothing).
 ///
-/// The GH rung takes each input's histogram from the input's summary slot
-/// when the slot holds one for the pair's grid: same extent, compared
-/// bitwise, and same gh_level. Otherwise it builds the histogram and, when
-/// the input has at least 4^gh_level rects (so the summary is never larger
-/// than the rects it summarizes), stores it in the slot in place of the
-/// previous one. A GH histogram is a pure function of (rects, extent,
-/// level), so answers are bit-identical whether or not a summary was
-/// reused. A pair with a PairDependent() input consumes per-pair copies of
-/// the rects and uses no slot. Each slot has its own lock, held across a
-/// build so that concurrent pairs wait for one build; the rung never holds
-/// two slots' locks at once.
+/// The GH rung takes each side's histogram from PreparedInput::GhHistogramOn
+/// on the pair's frame at gh_level. A GH histogram is a pure function of
+/// (rects, extent, level), so answers are bit-identical whether or not a
+/// summary was reused. A pair with a PairDependent() input consumes
+/// per-pair copies of the rects, which have no slot. The rung takes the
+/// two sides' slots one at a time, never both locks at once.
 class GuardedEstimator {
  public:
   explicit GuardedEstimator(GuardedEstimatorOptions options = {})
@@ -195,11 +227,14 @@ class GuardedEstimator {
   /// when both are defective) and estimates them.
   Result<EstimateResult> Estimate(const Dataset& a, const Dataset& b) const;
 
-  /// The estimation path: both inputs must have been prepared under
-  /// options().policy. Bit-identical to validating both datasets against
-  /// their joint extent and running the chain on the result.
+  /// PreparePair, then Estimate(pair). Both inputs must have been prepared
+  /// under options().policy. Bit-identical to validating both datasets
+  /// against their joint extent and running the chain on the result.
   Result<EstimateResult> Estimate(const PreparedInput& a,
                                   const PreparedInput& b) const;
+
+  /// The estimation path: runs the chain on the pair's rects and frame.
+  Result<EstimateResult> Estimate(const PreparedPair& pair) const;
 
   const GuardedEstimatorOptions& options() const { return options_; }
 

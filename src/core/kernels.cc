@@ -53,14 +53,18 @@ int EnvBackendOverride() {
   return cached;
 }
 
-// One grid-cell coordinate, identical to Grid::CellX / Grid::CellY: floor
-// of the scaled offset, clamped into [0, per_axis).
+// One grid-cell coordinate, identical to Grid::CellX / Grid::CellY on
+// finite input: floor of the scaled offset, clamped into [0, per_axis).
+// The clamp runs in the double domain before the int conversion, as in
+// the AVX2 kernel, so an infinite offset lands in an edge cell and a NaN
+// one in cell 0 instead of reaching an undefined int cast.
 inline int32_t CellCoordScalar(double v, double origin, double cell_size,
                                int per_axis) {
-  int c = static_cast<int>(std::floor((v - origin) / cell_size));
-  if (c < 0) c = 0;
-  if (c >= per_axis) c = per_axis - 1;
-  return c;
+  double f = std::floor((v - origin) / cell_size);
+  f = f > 0.0 ? f : 0.0;
+  const double hi = static_cast<double>(per_axis - 1);
+  f = f < hi ? f : hi;
+  return static_cast<int32_t>(f);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +233,8 @@ std::size_t SortedPrefixLeqScalar(const double* keys, std::size_t begin,
 //    std::max(a, b), which return the FIRST.
 //  - No FMA: the avx2 target does not enable contraction, keeping the
 //    mul-then-div sequences identical to scalar.
-//  - Clamps run in the double domain before the int conversion; for every
-//    value whose scalar int cast is defined this matches CellCoordScalar.
+//  - Clamps run in the double domain before the int conversion, as in
+//    CellCoordScalar: vmaxpd(f, 0) maps NaN to 0, like `f > 0.0 ? f : 0.0`.
 // ---------------------------------------------------------------------------
 
 #if SJSEL_KERNELS_X86

@@ -25,11 +25,13 @@ struct PartitionGrid {
   int CellX(double x) const { return Clamp((x - extent.min_x) / cell_w); }
   int CellY(double y) const { return Clamp((y - extent.min_y) / cell_h); }
 
+  // In the double domain, as CellRangeBatch does, so that an infinite
+  // or NaN offset has a defined cell.
   int Clamp(double t) const {
-    int c = static_cast<int>(std::floor(t));
-    if (c < 0) c = 0;
-    if (c >= p) c = p - 1;
-    return c;
+    const double f = std::floor(t);
+    if (!(f > 0.0)) return 0;
+    if (f >= p - 1) return p - 1;
+    return static_cast<int>(f);
   }
 
   // True if cell (cx, cy) owns point `pt` under the half-open convention
@@ -59,13 +61,25 @@ struct PartitionedSoa {
   }
 };
 
+// The bounding box of the rects of `ds` whose coordinates are all finite.
+Rect FiniteExtent(const Dataset& ds) {
+  Rect extent = Rect::Empty();
+  for (const Rect& r : ds.rects()) {
+    if (std::isfinite(r.min_x) && std::isfinite(r.min_y) &&
+        std::isfinite(r.max_x) && std::isfinite(r.max_y)) {
+      extent.Extend(r);
+    }
+  }
+  return extent;
+}
+
 // Buckets every rectangle of `ds` into each partition it overlaps, with
 // the per-partition runs coming out min_x-sorted: partition cell ranges
 // are computed for the whole dataset with the vectorized CellRangeBatch
 // kernel (bit-identical to the scalar CellX/CellY arithmetic), one global
-// argsort orders rect indices by (min_x, dataset position) — the exact
-// comparator the old per-partition sort used — and a stable counting-sort
-// fill walks that order, so each partition's slice inherits it.
+// argsort orders rect indices by sweep::SweepOrderLess, and a stable
+// counting-sort fill walks that order, so each partition's slice
+// inherits it.
 PartitionedSoa DistributeSorted(const Dataset& ds, const PartitionGrid& grid) {
   const size_t n = ds.size();
   const size_t num_cells = static_cast<size_t>(grid.p) * grid.p;
@@ -89,8 +103,7 @@ PartitionedSoa DistributeSorted(const Dataset& ds, const PartitionGrid& grid) {
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (all.min_x[a] != all.min_x[b]) return all.min_x[a] < all.min_x[b];
-    return a < b;
+    return sweep::SweepOrderLess(all.min_x[a], a, all.min_x[b], b);
   });
 
   PartitionedSoa out;
@@ -154,9 +167,13 @@ template <typename Slot, typename PartitionEmit, typename Fold>
 void PbsmJoinImpl(const Dataset& a, const Dataset& b, PbsmOptions options,
                   PartitionEmit&& emit, Fold&& fold) {
   if (a.empty() || b.empty()) return;
+  // The grid spans the finite rects only. Cell coordinates are clamped in
+  // the double domain, so a rect with an infinite coordinate lands in the
+  // edge partitions it reaches. One with a NaN coordinate lands in
+  // partition 0 or in none; it meets nothing either way (join/join.h).
   PartitionGrid grid;
-  grid.extent = a.ComputeExtent();
-  grid.extent.Extend(b.ComputeExtent());
+  grid.extent = FiniteExtent(a);
+  grid.extent.Extend(FiniteExtent(b));
   grid.p = PbsmPickPartitions(a.size(), b.size(), options.partitions_per_axis);
   grid.cell_w = grid.extent.width() / grid.p;
   grid.cell_h = grid.extent.height() / grid.p;

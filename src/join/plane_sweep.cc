@@ -11,16 +11,14 @@
 namespace sjsel {
 namespace {
 
-// Sorts dataset positions by min_x and gathers the geometry into SoA
-// layout for the vectorized sweep.
+// Sorts dataset positions into the sweep order and gathers the geometry
+// into SoA layout for the vectorized sweep.
 sweep::SweepSoa SortedByMinX(const Dataset& ds) {
   std::vector<int64_t> order(ds.size());
   std::iota(order.begin(), order.end(), int64_t{0});
   std::sort(order.begin(), order.end(), [&ds](int64_t a, int64_t b) {
-    const double ax = ds[static_cast<size_t>(a)].min_x;
-    const double bx = ds[static_cast<size_t>(b)].min_x;
-    if (ax != bx) return ax < bx;
-    return a < b;  // tie-break on position: emission order is reproducible
+    return sweep::SweepOrderLess(ds[static_cast<size_t>(a)].min_x, a,
+                                 ds[static_cast<size_t>(b)].min_x, b);
   });
   sweep::SweepSoa soa;
   soa.Reserve(ds.size());

@@ -8,6 +8,7 @@
 // forward scan's: ascending scan index within each run.
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 #include "core/kernels.h"
@@ -17,6 +18,20 @@
 
 namespace sjsel {
 namespace sweep {
+
+/// The sweep order of two rects, given their min_x and dataset positions:
+/// by (min_x is NaN, min_x, position). This stays a strict weak order when
+/// some min_x is NaN; those rects sort last, and since a NaN rect
+/// intersects nothing, the sweep finds no pair for them. The position
+/// tie-break makes the emission order reproducible.
+template <typename Index>
+bool SweepOrderLess(double ax, Index a, double bx, Index b) {
+  const bool a_nan = std::isnan(ax);
+  const bool b_nan = std::isnan(bx);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && ax != bx) return ax < bx;
+  return a < b;
+}
 
 /// One sweep input: coordinates in SoA layout sorted by min_x, plus the
 /// original dataset position of each row. Reused as scratch across PBSM

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 
 #include "core/gh_histogram.h"
 #include "core/grid.h"
 #include "core/ph_histogram.h"
 #include "join/plane_sweep.h"
+#include "util/json.h"
 #include "util/table.h"
 
 namespace sjsel {
@@ -57,41 +59,37 @@ ContributionSkew ComputeSkew(const std::vector<ExplainCell>& cells,
   return skew;
 }
 
-// Exact %.17g so every double survives a JSON round trip.
-void AppendJsonDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-void AppendCellJson(std::string* out, const EstimateExplain& report,
-                    int64_t index) {
+JsonValue CellJson(const EstimateExplain& report, int64_t index) {
   const ExplainCell& cell = report.cells[static_cast<size_t>(index)];
-  *out += "{\"index\": " + std::to_string(cell.index) +
-          ", \"cx\": " + std::to_string(cell.cx) +
-          ", \"cy\": " + std::to_string(cell.cy) + ", \"terms\": [";
-  for (int t = 0; t < 4; ++t) {
-    if (t > 0) *out += ", ";
-    AppendJsonDouble(out, cell.terms[t]);
-  }
-  *out += "], \"estimated_pairs\": ";
-  AppendJsonDouble(out, cell.estimated_pairs);
+  JsonValue terms = JsonValue::Array();
+  for (const double term : cell.terms) terms.Append(JsonValue::Number(term));
+  JsonValue out = JsonValue::Object();
+  out.Set("index", JsonValue::Int(cell.index))
+      .Set("cx", JsonValue::Int(cell.cx))
+      .Set("cy", JsonValue::Int(cell.cy))
+      .Set("terms", std::move(terms))
+      .Set("estimated_pairs", JsonValue::Number(cell.estimated_pairs));
   if (report.has_exact) {
-    *out += ", \"actual_pairs\": ";
-    AppendJsonDouble(out, cell.actual_pairs);
-    *out += ", \"error\": ";
-    AppendJsonDouble(out, cell.error());
+    out.Set("actual_pairs", JsonValue::Number(cell.actual_pairs))
+        .Set("error", JsonValue::Number(cell.error()));
   }
-  *out += "}";
+  return out;
+}
+
+JsonValue CellsJson(const EstimateExplain& report,
+                    const std::vector<int64_t>& indices) {
+  JsonValue out = JsonValue::Array();
+  for (const int64_t index : indices) out.Append(CellJson(report, index));
+  return out;
+}
+
+JsonValue DatasetJson(const std::string& name, uint64_t rects,
+                      uint64_t validated) {
+  JsonValue out = JsonValue::Object();
+  out.Set("name", JsonValue::String(name))
+      .Set("rects", JsonValue::Int(static_cast<long long>(rects)))
+      .Set("validated", JsonValue::Int(static_cast<long long>(validated)));
+  return out;
 }
 
 std::string TrialStatusLine(const RungTrial& trial,
@@ -124,44 +122,47 @@ const char* const* ExplainTermLabels(ExplainScheme scheme) {
 Result<EstimateExplain> BuildEstimateExplain(const Dataset& a,
                                              const Dataset& b,
                                              const ExplainOptions& options) {
+  PreparedInput pa;
+  SJSEL_ASSIGN_OR_RETURN(pa, PrepareInput(a, options.guarded.policy));
+  PreparedInput pb;
+  SJSEL_ASSIGN_OR_RETURN(pb, PrepareInput(b, options.guarded.policy));
+  return BuildEstimateExplain(pa, pb, options);
+}
+
+Result<EstimateExplain> BuildEstimateExplain(const PreparedInput& a,
+                                             const PreparedInput& b,
+                                             const ExplainOptions& options) {
+  // The chain's pair: the rects, tallies and frame of the estimate this
+  // report describes.
+  PreparedPair pair;
+  SJSEL_ASSIGN_OR_RETURN(pair, PreparePair(a, b));
+  const Dataset& va = pair.a().rects();
+  const Dataset& vb = pair.b().rects();
+  const Rect& extent = pair.frame;
   EstimateExplain report;
   report.scheme = options.scheme;
   report.level = options.level;
-  report.dataset_a = a.name();
-  report.dataset_b = b.name();
-  report.raw_a = a.size();
-  report.raw_b = b.size();
-
-  // The joint extent from finite coordinates only — the same frame the
-  // guarded estimator validates against, so the chain run below and this
-  // breakdown describe identical inputs.
-  Rect extent = Rect::Empty();
-  for (const Dataset* ds : {&a, &b}) {
-    for (const Rect& r : ds->rects()) {
-      if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) extent.Extend(r);
-    }
-  }
-  Dataset va;
-  SJSEL_ASSIGN_OR_RETURN(
-      va, ValidateDataset(a, extent, options.policy, &report.validation_a));
-  Dataset vb;
-  SJSEL_ASSIGN_OR_RETURN(
-      vb, ValidateDataset(b, extent, options.policy, &report.validation_b));
+  report.dataset_a = a.source->name();
+  report.dataset_b = b.source->name();
+  report.raw_a = a.source->size();
+  report.raw_b = b.source->size();
+  report.validation_a = pair.a().counters;
+  report.validation_b = pair.b().counters;
   report.n1 = va.size();
   report.n2 = vb.size();
   report.extent = extent;
 
-  // The guarded chain run recorded in the report, with the rung matching
-  // the breakdown scheme pinned to the breakdown level.
+  // The guarded chain run recorded in the report, under the inputs'
+  // policy, with the rung matching the breakdown scheme pinned to the
+  // breakdown level.
   GuardedEstimatorOptions guarded = options.guarded;
-  guarded.policy = options.policy;
+  guarded.policy = a.policy;
   if (options.scheme == ExplainScheme::kGh) {
     guarded.gh_level = options.level;
   } else {
     guarded.ph_level = options.level;
   }
-  SJSEL_ASSIGN_OR_RETURN(report.chain,
-                         GuardedEstimator(guarded).Estimate(a, b));
+  SJSEL_ASSIGN_OR_RETURN(report.chain, GuardedEstimator(guarded).Estimate(pair));
 
   // Empty input after validation: the estimate is zero and there is no
   // grid to attribute anything to.
@@ -184,18 +185,15 @@ Result<EstimateExplain> BuildEstimateExplain(const Dataset& a,
   }
 
   if (options.scheme == ExplainScheme::kGh) {
-    Result<GhHistogram> ra = GhHistogram::Build(
-        va, extent, options.level, GhVariant::kRevised, options.threads);
-    if (!ra.ok()) return ra.status();
-    Result<GhHistogram> rb = GhHistogram::Build(
-        vb, extent, options.level, GhVariant::kRevised, options.threads);
-    if (!rb.ok()) return rb.status();
-    const GhHistogram& ha = ra.value();
-    const GhHistogram& hb = rb.value();
+    // The histograms the chain's GH rung reads: the inputs' summaries.
+    std::shared_ptr<const GhHistogram> ha;
+    SJSEL_ASSIGN_OR_RETURN(ha, pair.a().GhHistogramOn(extent, options.level));
+    std::shared_ptr<const GhHistogram> hb;
+    SJSEL_ASSIGN_OR_RETURN(hb, pair.b().GhHistogramOn(extent, options.level));
     std::vector<GhCellContribution> terms;
-    SJSEL_ASSIGN_OR_RETURN(terms, GhPerCellContributions(ha, hb));
+    SJSEL_ASSIGN_OR_RETURN(terms, GhPerCellContributions(*ha, *hb));
     SJSEL_ASSIGN_OR_RETURN(report.estimated_pairs,
-                           EstimateGhJoinPairs(ha, hb));
+                           EstimateGhJoinPairs(*ha, *hb));
     for (size_t i = 0; i < terms.size(); ++i) {
       ExplainCell& cell = report.cells[i];
       cell.terms[0] = terms[i].c1_o2;
@@ -307,10 +305,15 @@ std::string RenderChainText(const EstimateResult& result,
 std::string RenderExplainText(const EstimateExplain& report,
                               const ExplainRenderOptions& options) {
   std::string out;
-  char line[256];
+  // Keys are padded to a fixed column; values are appended whole, so a
+  // long dataset name cannot cut a line short.
+  const auto pad = [](const char* key, size_t width) {
+    std::string padded = key;
+    if (padded.size() < width) padded.resize(width, ' ');
+    return padded;
+  };
   const auto kv = [&](const char* key, const std::string& value) {
-    std::snprintf(line, sizeof(line), "%-21s: %s\n", key, value.c_str());
-    out += line;
+    out += pad(key, 21) + ": " + value + "\n";
   };
   kv("explain", std::string(ExplainSchemeName(report.scheme)) + " level " +
                     std::to_string(report.level));
@@ -340,15 +343,11 @@ std::string RenderExplainText(const EstimateExplain& report,
   }
 
   out += "contribution skew:\n";
-  std::snprintf(line, sizeof(line), "  %-19s: %lld of %lld\n",
-                "nonzero cells",
-                static_cast<long long>(report.skew.nonzero_cells),
-                static_cast<long long>(report.num_cells));
-  out += line;
+  out += "  " + pad("nonzero cells", 19) + ": " +
+         std::to_string(report.skew.nonzero_cells) + " of " +
+         std::to_string(report.num_cells) + "\n";
   const auto skew_kv = [&](const char* key, double share) {
-    std::snprintf(line, sizeof(line), "  %-19s: %s of estimate\n", key,
-                  FormatPercent(share).c_str());
-    out += line;
+    out += "  " + pad(key, 19) + ": " + FormatPercent(share) + " of estimate\n";
   };
   skew_kv("top 1% of cells", report.skew.top1pct_share);
   skew_kv("top 10% of cells", report.skew.top10pct_share);
@@ -392,103 +391,78 @@ std::string RenderExplainText(const EstimateExplain& report,
   return out;
 }
 
-std::string RenderExplainJson(const EstimateExplain& report,
-                              const ExplainRenderOptions& options) {
-  std::string out = "{\n  \"explain\": {\n";
-  out += "    \"scheme\": ";
-  AppendJsonString(&out, ExplainSchemeName(report.scheme));
-  out += ",\n    \"level\": " + std::to_string(report.level);
-  out += ",\n    \"dataset_a\": {\"name\": ";
-  AppendJsonString(&out, report.dataset_a);
-  out += ", \"rects\": " + std::to_string(report.raw_a) +
-         ", \"validated\": " + std::to_string(report.n1) + "}";
-  out += ",\n    \"dataset_b\": {\"name\": ";
-  AppendJsonString(&out, report.dataset_b);
-  out += ", \"rects\": " + std::to_string(report.raw_b) +
-         ", \"validated\": " + std::to_string(report.n2) + "}";
-  out += ",\n    \"extent\": [";
-  AppendJsonDouble(&out, report.extent.min_x);
-  out += ", ";
-  AppendJsonDouble(&out, report.extent.min_y);
-  out += ", ";
-  AppendJsonDouble(&out, report.extent.max_x);
-  out += ", ";
-  AppendJsonDouble(&out, report.extent.max_y);
-  out += "]";
-  out += ",\n    \"grid\": {\"per_axis\": " + std::to_string(report.per_axis) +
-         ", \"cells\": " + std::to_string(report.num_cells) + "}";
-  out += ",\n    \"estimated_pairs\": ";
-  AppendJsonDouble(&out, report.estimated_pairs);
-  out += ",\n    \"selectivity\": ";
-  AppendJsonDouble(&out, report.selectivity);
-
-  out += ",\n    \"chain\": {\"rung\": ";
-  AppendJsonString(&out, EstimatorRungName(report.chain.rung));
-  out += ", \"label\": ";
-  AppendJsonString(&out, report.chain.rung_label);
-  out += ", \"degradation_reason\": ";
-  AppendJsonString(&out, report.chain.degradation_reason);
-  out += ", \"clamped\": ";
-  out += report.chain.clamped ? "true" : "false";
-  out += ", \"trials\": [";
-  for (size_t i = 0; i < report.chain.trials.size(); ++i) {
-    const RungTrial& trial = report.chain.trials[i];
-    out += i == 0 ? "" : ", ";
-    out += "{\"rung\": ";
-    AppendJsonString(&out, EstimatorRungName(trial.rung));
-    out += ", \"label\": ";
-    AppendJsonString(&out, trial.label);
-    out += ", \"answered\": ";
-    out += trial.answered ? "true" : "false";
-    out += ", \"cause\": ";
-    AppendJsonString(&out, trial.cause);
+JsonValue ExplainJson(const EstimateExplain& report,
+                      const ExplainRenderOptions& options) {
+  JsonValue extent = JsonValue::Array();
+  for (const double v : {report.extent.min_x, report.extent.min_y,
+                         report.extent.max_x, report.extent.max_y}) {
+    extent.Append(JsonValue::Number(v));
+  }
+  JsonValue trials = JsonValue::Array();
+  for (const RungTrial& trial : report.chain.trials) {
+    JsonValue t = JsonValue::Object();
+    t.Set("rung", JsonValue::String(EstimatorRungName(trial.rung)))
+        .Set("label", JsonValue::String(trial.label))
+        .Set("answered", JsonValue::Bool(trial.answered))
+        .Set("cause", JsonValue::String(trial.cause));
     if (trial.has_raw_pairs) {
-      out += ", \"raw_pairs\": ";
-      AppendJsonDouble(&out, trial.raw_pairs);
+      t.Set("raw_pairs", JsonValue::Number(trial.raw_pairs));
     }
     if (options.include_timing) {
-      out += ", \"elapsed_us\": " + std::to_string(trial.elapsed_us);
+      t.Set("elapsed_us",
+            JsonValue::Int(static_cast<long long>(trial.elapsed_us)));
     }
-    out += "}";
+    trials.Append(std::move(t));
   }
-  out += "]}";
+  JsonValue chain = JsonValue::Object();
+  chain.Set("rung", JsonValue::String(EstimatorRungName(report.chain.rung)))
+      .Set("label", JsonValue::String(report.chain.rung_label))
+      .Set("degradation_reason",
+           JsonValue::String(report.chain.degradation_reason))
+      .Set("clamped", JsonValue::Bool(report.chain.clamped))
+      .Set("trials", std::move(trials));
+  JsonValue labels = JsonValue::Array();
+  const char* const* term_labels = ExplainTermLabels(report.scheme);
+  for (int t = 0; t < 4; ++t) labels.Append(JsonValue::String(term_labels[t]));
+  JsonValue skew = JsonValue::Object();
+  skew.Set("nonzero_cells", JsonValue::Int(report.skew.nonzero_cells))
+      .Set("top1pct_share", JsonValue::Number(report.skew.top1pct_share))
+      .Set("top10pct_share", JsonValue::Number(report.skew.top10pct_share))
+      .Set("max_cell_share", JsonValue::Number(report.skew.max_cell_share));
+  JsonValue grid = JsonValue::Object();
+  grid.Set("per_axis", JsonValue::Int(report.per_axis))
+      .Set("cells", JsonValue::Int(report.num_cells));
 
-  out += ",\n    \"term_labels\": [";
-  const char* const* labels = ExplainTermLabels(report.scheme);
-  for (int t = 0; t < 4; ++t) {
-    if (t > 0) out += ", ";
-    AppendJsonString(&out, labels[t]);
-  }
-  out += "]";
-  out += ",\n    \"skew\": {\"nonzero_cells\": " +
-         std::to_string(report.skew.nonzero_cells) + ", \"top1pct_share\": ";
-  AppendJsonDouble(&out, report.skew.top1pct_share);
-  out += ", \"top10pct_share\": ";
-  AppendJsonDouble(&out, report.skew.top10pct_share);
-  out += ", \"max_cell_share\": ";
-  AppendJsonDouble(&out, report.skew.max_cell_share);
-  out += "}";
-
-  out += ",\n    \"top_contributors\": [";
-  for (size_t i = 0; i < report.top_contributors.size(); ++i) {
-    out += i == 0 ? "" : ", ";
-    AppendCellJson(&out, report, report.top_contributors[i]);
-  }
-  out += "]";
+  JsonValue body = JsonValue::Object();
+  body.Set("scheme", JsonValue::String(ExplainSchemeName(report.scheme)))
+      .Set("level", JsonValue::Int(report.level))
+      .Set("dataset_a", DatasetJson(report.dataset_a, report.raw_a, report.n1))
+      .Set("dataset_b", DatasetJson(report.dataset_b, report.raw_b, report.n2))
+      .Set("extent", std::move(extent))
+      .Set("grid", std::move(grid))
+      .Set("estimated_pairs", JsonValue::Number(report.estimated_pairs))
+      .Set("selectivity", JsonValue::Number(report.selectivity))
+      .Set("chain", std::move(chain))
+      .Set("term_labels", std::move(labels))
+      .Set("skew", std::move(skew))
+      .Set("top_contributors", CellsJson(report, report.top_contributors));
   if (report.has_exact) {
-    out += ",\n    \"exact\": {\"actual_pairs\": " +
-           std::to_string(report.actual_pairs) + ", \"relative_error\": ";
-    AppendJsonDouble(&out, report.relative_error);
-    out += "}";
-    out += ",\n    \"top_errors\": [";
-    for (size_t i = 0; i < report.top_errors.size(); ++i) {
-      out += i == 0 ? "" : ", ";
-      AppendCellJson(&out, report, report.top_errors[i]);
-    }
-    out += "]";
+    JsonValue exact = JsonValue::Object();
+    exact
+        .Set("actual_pairs",
+             JsonValue::Int(static_cast<long long>(report.actual_pairs)))
+        .Set("relative_error", JsonValue::Number(report.relative_error));
+    body.Set("exact", std::move(exact))
+        .Set("top_errors", CellsJson(report, report.top_errors));
   }
-  out += "\n  }\n}\n";
-  return out;
+  JsonValue root = JsonValue::Object();
+  root.Set("explain", std::move(body));
+  return root;
+}
+
+std::string RenderExplainJson(const EstimateExplain& report,
+                              const ExplainRenderOptions& options) {
+  return ExplainJson(report, options).Dump();
 }
 
 Status WriteExplainHeatmapCsv(const EstimateExplain& report,

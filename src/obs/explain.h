@@ -24,6 +24,7 @@
 #include "geom/dataset.h"
 #include "geom/rect.h"
 #include "geom/validate.h"
+#include "util/json.h"
 #include "util/result.h"
 
 namespace sjsel {
@@ -45,12 +46,13 @@ struct ExplainOptions {
   int top_k = 10;
   /// Run the exact plane-sweep join and attribute actual pairs to cells.
   bool with_exact = false;
-  /// Worker threads for the histogram builds. Never changes any value
-  /// (builds are bit-identical for any thread count).
+  /// Worker threads for the PH builds. Never changes any value (builds
+  /// are bit-identical for any thread count). GH histograms come from the
+  /// inputs' summaries, which the chain builds single-threaded.
   int threads = 1;
-  /// Validation policy applied to both inputs before any build.
-  ValidationPolicy policy = ValidationPolicy::kQuarantine;
-  /// Options of the guarded chain run recorded in the report.
+  /// Options of the guarded chain run recorded in the report. Its policy
+  /// applies only to the Dataset overload of BuildEstimateExplain, which
+  /// prepares both inputs under it; prepared inputs carry their own.
   GuardedEstimatorOptions guarded;
 };
 
@@ -134,11 +136,21 @@ struct EstimateExplain {
   double relative_error = 0.0;
 };
 
-/// Builds the report: validates both inputs against their joint extent,
-/// builds the scheme's histograms at options.level, computes the scalar
-/// estimate and per-cell contributions, runs the guarded chain, and (with
-/// options.with_exact) attributes the exact plane-sweep join per cell.
-/// Fails only on kReject policy violations or an invalid level.
+/// Builds the report from the chain's pair (PreparePair): its rects,
+/// validation tallies and frame. Runs the guarded chain on that pair,
+/// takes the scheme's histograms at options.level (GH from the inputs'
+/// summaries through PreparedInput::GhHistogramOn, PH built), computes the
+/// scalar estimate and per-cell contributions, and (with
+/// options.with_exact) attributes the exact plane-sweep join over the
+/// pair's rects per cell. Fails on inputs prepared under different
+/// policies or an invalid level.
+Result<EstimateExplain> BuildEstimateExplain(const PreparedInput& a,
+                                             const PreparedInput& b,
+                                             const ExplainOptions& options);
+
+/// Prepares both datasets under options.guarded.policy, as
+/// GuardedEstimator::Estimate(Dataset, Dataset) does, and builds their
+/// report. Fails also on kReject policy violations.
 Result<EstimateExplain> BuildEstimateExplain(const Dataset& a,
                                              const Dataset& b,
                                              const ExplainOptions& options);
@@ -159,7 +171,13 @@ std::string RenderChainText(const EstimateResult& result,
 std::string RenderExplainText(const EstimateExplain& report,
                               const ExplainRenderOptions& options = {});
 
-/// Deterministic JSON report (doubles as %.17g, so values round-trip).
+/// The report as a JSON document: {"explain": {...}}, keys in a fixed
+/// order. The server nests it in its `explain` response.
+JsonValue ExplainJson(const EstimateExplain& report,
+                      const ExplainRenderOptions& options = {});
+
+/// ExplainJson, dumped: compact, deterministic, doubles as %.17g so values
+/// round-trip.
 std::string RenderExplainJson(const EstimateExplain& report,
                               const ExplainRenderOptions& options = {});
 

@@ -422,12 +422,14 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
                          .Str("reason", est.degradation_reason));
     }
     if (ShouldAudit()) {
-      // The datasets are already cached by the estimate above, so these
-      // lookups cannot re-do the load.
-      const auto da = catalog_.GetDataset(req.a);
-      const auto db = catalog_.GetDataset(req.b);
-      if (da.ok() && db.ok()) {
-        AuditEstimate(req, **da, **db, est.outcome.estimated_pairs);
+      // The entries are already cached and prepared by the estimate
+      // above, so these lookups cannot re-do the load.
+      const auto ea = catalog_.GetEntry(req.a);
+      const auto eb = catalog_.GetEntry(req.b);
+      if (ea.ok() && eb.ok() && (*ea)->prepared.ok() &&
+          (*eb)->prepared.ok()) {
+        AuditEstimate(req, *(*ea)->prepared, *(*eb)->prepared,
+                      est.outcome.estimated_pairs);
       }
     }
     JsonValue out = JsonValue::Object();
@@ -463,18 +465,19 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
     options.top_k = req.top;
     options.with_exact = req.exact;
     options.guarded = options_.estimator;
-    const auto a = catalog_.GetDataset(req.a);
+    // The inputs `estimate` reads, with their GH summaries; a failed
+    // preparation fails explain as it fails estimate.
+    const auto a = catalog_.GetEntry(req.a);
     if (!a.ok()) return fail_status(a.status());
-    const auto b = catalog_.GetDataset(req.b);
+    const auto b = catalog_.GetEntry(req.b);
     if (!b.ok()) return fail_status(b.status());
-    const auto report = obs::BuildEstimateExplain(**a, **b, options);
+    if (!(*a)->prepared.ok()) return fail_status((*a)->prepared.status());
+    if (!(*b)->prepared.ok()) return fail_status((*b)->prepared.status());
+    const auto report =
+        obs::BuildEstimateExplain(*(*a)->prepared, *(*b)->prepared, options);
     if (!report.ok()) return fail_status(report.status());
-    // The explain renderer already emits deterministic JSON; parse it so
-    // the report nests as an object instead of an escaped string.
-    auto report_json = JsonValue::Parse(obs::RenderExplainJson(*report));
-    if (!report_json.ok()) return fail_status(report_json.status());
-    return answered(JsonValue::Object().Set("report",
-                                            std::move(report_json).value()));
+    return answered(
+        JsonValue::Object().Set("report", obs::ExplainJson(*report)));
   }
 
   if (req.op == "stats") {
@@ -782,17 +785,25 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
   return fail(kErrUnknownOp, "unknown op '" + req.op + "'");
 }
 
-void Server::AuditEstimate(const Request& req, const Dataset& a,
-                           const Dataset& b, double served_pairs) {
+void Server::AuditEstimate(const Request& req, const PreparedInput& a,
+                           const PreparedInput& b, double served_pairs) {
   SJSEL_TRACE_SPAN("server.audit");
+  // The reference reads the rects the served estimate read.
+  const auto pair = PreparePair(a, b);
+  if (!pair.ok()) {
+    SJSEL_METRIC_INC("accuracy.audit_failures");
+    return;
+  }
+  const Dataset& ra = pair->a().rects();
+  const Dataset& rb = pair->b().rects();
   const uint64_t cap = options_.audit_exact_cap;
-  if (cap > 0 && a.size() <= cap && b.size() <= cap) {
-    const uint64_t exact = PlaneSweepJoinCount(a, b);
+  if (cap > 0 && ra.size() <= cap && rb.size() <= cap) {
+    const uint64_t exact = PlaneSweepJoinCount(ra, rb);
     PublishAuditResult(req, "exact", served_pairs,
                        static_cast<double>(exact));
     return;
   }
-  const auto sampled = EstimateBySampling(a, b, options_.estimator.sampling);
+  const auto sampled = EstimateBySampling(ra, rb, options_.estimator.sampling);
   if (!sampled.ok()) {
     SJSEL_METRIC_INC("accuracy.audit_failures");
     return;

@@ -71,8 +71,8 @@ struct ServerOptions {
   /// Relative-error threshold above which an audited request raises
   /// `accuracy.drift_alarm` (counter + warn log + trace instant).
   double audit_alarm = 0.5;
-  /// When both audited datasets have at most this many rectangles the
-  /// reference is the exact plane-sweep join count; otherwise (or when 0)
+  /// When both sides of the audited pair have at most this many validated
+  /// rectangles the reference is the exact plane-sweep join count; otherwise (or when 0)
   /// the sampling estimator's answer is used as the reference.
   uint64_t audit_exact_cap = 0;
   /// Entries the slow-request ring keeps (the `slowlog` op reports the
@@ -144,10 +144,11 @@ class Server {
   /// True for every 1/audit_rate-th call (deterministic, not random);
   /// always false when audit_rate == 0.
   bool ShouldAudit();
-  /// Runs the reference estimator for a served estimate and publishes the
-  /// `accuracy.*` metrics (and the drift alarm when warranted).
-  void AuditEstimate(const Request& req, const Dataset& a, const Dataset& b,
-                     double served_pairs);
+  /// Runs the reference estimator for a served estimate on the rects of
+  /// the inputs' PreparePair and publishes the `accuracy.*` metrics (and
+  /// the drift alarm when warranted).
+  void AuditEstimate(const Request& req, const PreparedInput& a,
+                     const PreparedInput& b, double served_pairs);
   void PublishAuditResult(const Request& req, const char* reference,
                           double served_pairs, double reference_pairs);
 

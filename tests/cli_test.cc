@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "datagen/generators.h"
 #include "geom/dataset.h"
+#include "join/nested_loop.h"
 #include "server/server.h"
 #include "stream/ingest.h"
 #include "util/json.h"
@@ -189,30 +191,84 @@ TEST(CliTest, MinSkewPipeline) {
   std::remove(ms.c_str());
 }
 
+// 3,000 clean rects plus five NaN rects and three inverted ones, and a
+// clean partner: the defective files of JoinAlgorithmsAgree and
+// VerifyJoinsTheRectsTheEstimateRead.
+struct DefectiveFiles {
+  DefectiveFiles() {
+    gen::SizeDist size{gen::SizeDist::Kind::kUniform, 0.01, 0.01, 0.5};
+    const Dataset clean =
+        gen::UniformRects("clean", 3000, Rect(0, 0, 1, 1), size, 5);
+    const Dataset other =
+        gen::UniformRects("other", 3000, Rect(0, 0, 1, 1), size, 6);
+    Dataset dirty("dirty");
+    for (const Rect& r : clean.rects()) dirty.Add(r);
+    for (int i = 0; i < 5; ++i) {
+      dirty.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1 * i, 0.5,
+                     0.6));
+    }
+    for (int i = 0; i < 3; ++i) dirty.Add(Rect(0.6 + 0.1 * i, 0.2, 0.3, 0.5));
+    EXPECT_TRUE(dirty.Save(dirty_path).ok());
+    EXPECT_TRUE(other.Save(other_path).ok());
+    // The quarantine drops exactly the defective rects, so the validated
+    // rects are `clean`.
+    validated_pairs = NestedLoopJoinCount(clean, other);
+  }
+  ~DefectiveFiles() {
+    std::remove(dirty_path.c_str());
+    std::remove(other_path.c_str());
+  }
+
+  std::string dirty_path = TempPath("cli_dirty.ds");
+  std::string other_path = TempPath("cli_other.ds");
+  uint64_t validated_pairs = 0;
+};
+
 TEST(CliTest, JoinAlgorithmsAgree) {
   const std::string ds_a = TempPath("cli_ja.ds");
   const std::string ds_b = TempPath("cli_jb.ds");
   ASSERT_EQ(RunTool({"gen", "uniform:800", ds_a, "--seed=3"}).code, 0);
   ASSERT_EQ(RunTool({"gen", "clustered:800", ds_b, "--seed=4"}).code, 0);
+  const DefectiveFiles defective;
 
-  std::string first;
-  for (const std::string algo :
-       {"sweep", "pbsm", "rtree", "quadtree", "nested"}) {
-    const CliResult r = RunTool({"join", ds_a, ds_b, "--algo=" + algo});
-    EXPECT_EQ(r.code, 0) << algo << ": " << r.err;
-    const size_t pos = r.out.find("pairs      : ");
-    ASSERT_NE(pos, std::string::npos);
-    const std::string count =
-        r.out.substr(pos, r.out.find('\n', pos) - pos);
-    if (first.empty()) {
-      first = count;
-    } else {
-      EXPECT_EQ(count, first) << algo;
+  // Clean files, then a file with NaN and inverted rects.
+  for (const auto& [in_a, in_b] :
+       {std::pair{ds_a, ds_b},
+        std::pair{defective.dirty_path, defective.other_path}}) {
+    std::string first;
+    for (const std::string algo : {"sweep", "pbsm", "rtree", "nested"}) {
+      const CliResult r = RunTool({"join", in_a, in_b, "--algo=" + algo});
+      EXPECT_EQ(r.code, 0) << algo << ": " << r.err;
+      const size_t pos = r.out.find("pairs      : ");
+      ASSERT_NE(pos, std::string::npos);
+      const std::string count =
+          r.out.substr(pos, r.out.find('\n', pos) - pos);
+      if (first.empty()) {
+        first = count;
+      } else {
+        EXPECT_EQ(count, first) << in_a << " " << algo;
+      }
     }
   }
   EXPECT_EQ(RunTool({"join", ds_a, ds_b, "--algo=bogus"}).code, 2);
+  // `quadtree` is not an algo: it exits 2 like any unknown name.
+  EXPECT_EQ(RunTool({"join", ds_a, ds_b, "--algo=quadtree"}).code, 2);
   std::remove(ds_a.c_str());
   std::remove(ds_b.c_str());
+}
+
+TEST(CliTest, VerifyJoinsTheRectsTheEstimateRead) {
+  const DefectiveFiles files;
+  const CliResult r =
+      RunTool({"estimate", files.dirty_path, files.other_path, "--verify"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("actual pairs         : " +
+                       std::to_string(files.validated_pairs) + "\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("validation (a)       : checked=3008"),
+            std::string::npos)
+      << r.out;
 }
 
 TEST(CliTest, SampleCommand) {

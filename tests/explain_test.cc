@@ -214,13 +214,36 @@ TEST_F(ExplainTest, JsonCarriesTheContractFields) {
   ASSERT_TRUE(report.ok());
   const std::string json = obs::RenderExplainJson(*report);
   for (const char* key :
-       {"\"scheme\": \"gh\"", "\"estimated_pairs\":", "\"chain\":",
-        "\"trials\":", "\"term_labels\": [\"c1*o2\", \"o1*c2\", \"h1*v2\", "
+       {"\"scheme\":\"gh\"", "\"estimated_pairs\":", "\"chain\":",
+        "\"trials\":", "\"term_labels\":[\"c1*o2\",\"o1*c2\",\"h1*v2\","
         "\"v1*h2\"]",
         "\"skew\":", "\"top_contributors\":", "\"exact\":",
         "\"top_errors\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+}
+
+TEST(ExplainLongNameTest, EveryLineKeepsItsKeyAndCounts) {
+  // A 300-character name: each key/value line is whole, with its counts
+  // and its newline, and the next key starts a line of its own.
+  const std::string name(300, 'n');
+  const Dataset rects = MakeData("x", 500, 24);
+  const Dataset a(name, rects.rects());
+  const Dataset b = MakeData("exp_b", 400, 25);
+  ExplainOptions options;
+  options.level = 3;
+  const auto report = BuildEstimateExplain(a, b, options);
+  ASSERT_TRUE(report.ok());
+  const std::string text = obs::RenderExplainText(*report);
+  EXPECT_NE(text.find("dataset a            : " + name +
+                      " (500 rects, 500 validated)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\ndataset b            : exp_b (400 rects, 400 "
+                      "validated)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nextent               : "), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -176,6 +177,52 @@ TEST(JoinEdgeCaseTest, RTreesOfVeryDifferentHeights) {
   const uint64_t expected = NestedLoopJoinCount(big, tiny);
   EXPECT_EQ(RTreeJoinCount(tb, tt), expected);
   EXPECT_EQ(RTreeJoinCount(tt, tb), expected);
+}
+
+TEST(JoinEdgeCaseTest, NonFiniteRectsJoinAsRectIntersectsSays) {
+  // NaN rects, first and interleaved, sit in min_x and in other
+  // coordinates; they intersect nothing. Infinite rects reach the frame's
+  // edges and join as Rect::Intersects says.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Dataset clean_a = MakeWorkload(0, 1500, 91);
+  const Dataset clean_b = MakeWorkload(1, 1500, 92);
+  Dataset a("a");
+  a.Add(Rect(nan, 0.1, 0.5, 0.6));
+  for (size_t i = 0; i < clean_a.size(); ++i) {
+    a.Add(clean_a[i]);
+    if (i % 300 == 0) a.Add(Rect(nan, 0.2, 0.4, 0.3));
+  }
+  a.Add(Rect(0.2, nan, 0.4, 0.5));
+  a.Add(Rect(0.2, 0.2, nan, 0.5));
+  a.Add(Rect(-inf, 0.4, 0.3, 0.45));
+  Dataset b("b");
+  for (const Rect& r : clean_b.rects()) b.Add(r);
+  b.Add(Rect(0.5, 0.5, 0.6, nan));
+  b.Add(Rect(0.7, 0.1, inf, 0.15));
+
+  const uint64_t expected = NestedLoopJoinCount(a, b);
+  EXPECT_GT(expected, NestedLoopJoinCount(clean_a, clean_b));
+  EXPECT_EQ(PlaneSweepJoinCount(a, b), expected);
+  EXPECT_EQ(PlaneSweepJoinCount(b, a), expected);
+  EXPECT_EQ(PbsmJoinCount(a, b), expected);
+  EXPECT_EQ(PbsmJoinCount(b, a), expected);
+  PbsmOptions options;
+  options.partitions_per_axis = 7;
+  EXPECT_EQ(PbsmJoinCount(a, b, options), expected);
+  const RTree ta = RTree::BulkLoadStr(RTree::DatasetEntries(a));
+  const RTree tb = RTree::BulkLoadStr(RTree::DatasetEntries(b));
+  EXPECT_EQ(RTreeJoinCount(ta, tb), expected);
+
+  const PairSet pairs = CollectNestedLoop(a, b);
+  PairSet sweep;
+  PlaneSweepJoin(a, b, [&sweep](int64_t x, int64_t y) {
+    sweep.emplace(x, y);
+  });
+  EXPECT_EQ(sweep, pairs);
+  PairSet pbsm;
+  PbsmJoin(a, b, [&pbsm](int64_t x, int64_t y) { pbsm.emplace(x, y); });
+  EXPECT_EQ(pbsm, pairs);
 }
 
 TEST(PbsmPickPartitionsTest, HonorsRequestUpToTheCap) {

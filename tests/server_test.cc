@@ -264,6 +264,159 @@ TEST_F(ServerTest, PairOnASharedGridReusesTheInputsSummary) {
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
+// --- explain: the catalog's prepared inputs and their GH summaries ---
+
+std::string ExplainLine(const std::string& a, const std::string& b,
+                        int level) {
+  return R"({"op":"explain","a":")" + a + R"(","b":")" + b +
+         R"(","level":)" + std::to_string(level) + "}";
+}
+
+std::string EstimateLine(const std::string& a, const std::string& b) {
+  return R"({"op":"estimate","a":")" + a + R"(","b":")" + b + R"("})";
+}
+
+// The answering trial of an explain report's chain.
+const JsonValue* AnsweringTrial(const JsonValue& response) {
+  const JsonValue* trials = response.Find("result")
+                                ->Find("report")
+                                ->Find("explain")
+                                ->Find("chain")
+                                ->Find("trials");
+  for (const JsonValue& trial : trials->items()) {
+    if (trial.Find("answered")->bool_value()) return &trial;
+  }
+  return nullptr;
+}
+
+TEST_F(ServerTest, ExplainAfterEstimateReadsTheInputsSummaries) {
+  ServerOptions options;
+  options.estimator.gh_level = 4;  // 4^4 cells: both fixtures keep one
+  Server server(options);
+  ASSERT_TRUE(
+      Handle(&server, EstimateLine(a_path_, b_path_)).Find("ok")->bool_value());
+  const double builds = Counter(&server, "hist.gh.builds");
+  const JsonValue explained =
+      Handle(&server, ExplainLine(a_path_, b_path_, 4));
+  ASSERT_TRUE(explained.Find("ok")->bool_value()) << ErrorCode(explained);
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds);
+}
+
+TEST_F(ServerTest, ExplainUnderClampReportsWhatEstimateAnswers) {
+  // 500 rects plus one inverted rect, which clamp repairs per pair.
+  Dataset ds = MakeUniform("inv", 500, 51);
+  ds.Add(Rect(0.9, 0.9, 0.2, 0.1));
+  const std::string path = ::testing::TempDir() + "/server_inverted.ds";
+  ASSERT_TRUE(ds.Save(path).ok());
+  ServerOptions options;
+  options.estimator.policy = ValidationPolicy::kClampToExtent;
+  Server server(options);
+  const JsonValue est = Handle(&server, EstimateLine(path, b_path_));
+  const JsonValue explained = Handle(&server, ExplainLine(path, b_path_, 7));
+  std::remove(path.c_str());
+  ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+  ASSERT_TRUE(explained.Find("ok")->bool_value()) << ErrorCode(explained);
+  const JsonValue* answered = est.Find("result");
+  EXPECT_NE(answered->Find("validation_a")->string_value().find("clamped=1"),
+            std::string::npos);
+  const JsonValue* trial = AnsweringTrial(explained);
+  ASSERT_TRUE(trial != nullptr);
+  EXPECT_EQ(trial->Find("raw_pairs")->number_value(),
+            answered->Find("estimated_pairs")->number_value());
+  const JsonValue* report =
+      explained.Find("result")->Find("report")->Find("explain");
+  EXPECT_EQ(report->Find("estimated_pairs")->number_value(),
+            answered->Find("estimated_pairs")->number_value());
+  EXPECT_EQ(report->Find("dataset_a")->Find("validated")->number_value(),
+            501.0);
+}
+
+TEST_F(ServerTest, ExplainUnderRejectFailsAsEstimateDoes) {
+  Dataset ds = MakeUniform("bad", 300, 52);
+  ds.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0, 1, 1));
+  const std::string path = ::testing::TempDir() + "/server_reject.ds";
+  ASSERT_TRUE(ds.Save(path).ok());
+  ServerOptions options;
+  options.estimator.policy = ValidationPolicy::kReject;
+  Server server(options);
+  const JsonValue est = Handle(&server, EstimateLine(path, b_path_));
+  const JsonValue explained = Handle(&server, ExplainLine(path, b_path_, 7));
+  std::remove(path.c_str());
+  ASSERT_FALSE(est.Find("ok")->bool_value());
+  ASSERT_FALSE(explained.Find("ok")->bool_value());
+  EXPECT_EQ(ErrorCode(explained), ErrorCode(est));
+  EXPECT_EQ(explained.Find("error")->Find("message")->string_value(),
+            est.Find("error")->Find("message")->string_value());
+}
+
+TEST_F(ServerTest, ExplainOfANameWithAControlCharacterIsValidJson) {
+  const Dataset rects = MakeUniform("t", 300, 53);
+  const Dataset ds("tab\tname", rects.rects());
+  const std::string path = ::testing::TempDir() + "/server_tab.ds";
+  ASSERT_TRUE(ds.Save(path).ok());
+  Server server(ServerOptions{});
+  const JsonValue explained = Handle(&server, ExplainLine(path, b_path_, 4));
+  std::remove(path.c_str());
+  ASSERT_TRUE(explained.Find("ok")->bool_value()) << ErrorCode(explained);
+  EXPECT_EQ(explained.Find("result")
+                ->Find("report")
+                ->Find("explain")
+                ->Find("dataset_a")
+                ->Find("name")
+                ->string_value(),
+            "tab\tname");
+}
+
+TEST_F(ServerTest, EstimateAfterExplainAtAnotherLevelIsBitIdentical) {
+  // An explain at level 5 replaces the level-4 summaries of a and b; the
+  // next estimate on each input rebuilds once and answers the same bits.
+  ServerOptions options;
+  options.estimator.gh_level = 4;
+  Server server(options);
+  Server fresh(options);
+  ASSERT_TRUE(
+      Handle(&server, ExplainLine(a_path_, b_path_, 5)).Find("ok")->bool_value());
+  for (const auto& [x, y] : {std::pair{a_path_, c_path_},
+                             std::pair{b_path_, a_path_}}) {
+    const JsonValue after = Handle(&server, EstimateLine(x, y));
+    const JsonValue clean = Handle(&fresh, EstimateLine(x, y));
+    ASSERT_TRUE(after.Find("ok")->bool_value() && clean.Find("ok")->bool_value());
+    EXPECT_EQ(after.Find("result")->Dump(), clean.Find("result")->Dump());
+  }
+}
+
+TEST_F(ServerTest, ExactAuditOfNanRectsReadsTheValidatedRects) {
+  // 3,000 clean rects plus NaN and inverted ones, against a clean file.
+  // The exact reference joins the rects the estimate read, so the GH
+  // answer is well inside a 10% alarm.
+  gen::SizeDist size{gen::SizeDist::Kind::kUniform, 0.01, 0.01, 0.5};
+  Dataset dirty = gen::UniformRects("dirty", 3000, Rect(0, 0, 1, 1), size, 5);
+  for (int i = 0; i < 5; ++i) {
+    dirty.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1 * i, 0.5,
+                   0.6));
+  }
+  for (int i = 0; i < 3; ++i) dirty.Add(Rect(0.6 + 0.1 * i, 0.2, 0.3, 0.5));
+  const Dataset clean =
+      gen::UniformRects("clean", 3000, Rect(0, 0, 1, 1), size, 6);
+  const std::string dirty_path = ::testing::TempDir() + "/server_dirty.ds";
+  const std::string clean_path = ::testing::TempDir() + "/server_clean.ds";
+  ASSERT_TRUE(dirty.Save(dirty_path).ok());
+  ASSERT_TRUE(clean.Save(clean_path).ok());
+  ServerOptions options;
+  options.audit_rate = 1.0;
+  options.audit_exact_cap = 1000000;
+  options.audit_alarm = 0.1;
+  Server server(options);
+  const double audits = Counter(&server, "accuracy.audits");
+  const double alarms = Counter(&server, "accuracy.drift_alarm");
+  const JsonValue est = Handle(&server, EstimateLine(dirty_path, clean_path));
+  std::remove(dirty_path.c_str());
+  std::remove(clean_path.c_str());
+  ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+  EXPECT_EQ(Counter(&server, "accuracy.audits"), audits + 1.0);
+  EXPECT_EQ(Counter(&server, "accuracy.drift_alarm"), alarms);
+}
+
 TEST_F(ServerTest, StatsOfADatasetWithANonFiniteRectIsValidJson) {
   // The first rect is NaN: the statistics come from the prepared input,
   // whose extent and rects leave it out.
