@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/estimator.h"
+#include "core/gh_histogram.h"
+#include "core/ph_histogram.h"
+#include "core/sampling.h"
 #include "join/plane_sweep.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -73,6 +75,23 @@ bool WriteAccuracyJson(const std::string& path, double scale,
   return true;
 }
 
+// A histogram scheme's estimate of a * b on `extent`. The two builds are
+// the technique's prepare cost, returned in *prepare_seconds.
+template <typename Hist, typename Combine>
+sjsel::Result<double> HistogramEstimate(const sjsel::Dataset& a,
+                                        const sjsel::Dataset& b,
+                                        const sjsel::Rect& extent, int level,
+                                        Combine combine,
+                                        double* prepare_seconds) {
+  sjsel::Timer timer;
+  const auto ha = Hist::Build(a, extent, level);
+  if (!ha.ok()) return ha.status();
+  const auto hb = Hist::Build(b, extent, level);
+  if (!hb.ok()) return hb.status();
+  *prepare_seconds = timer.ElapsedSeconds();
+  return combine(*ha, *hb);
+}
+
 }  // namespace
 
 int main() {
@@ -99,40 +118,55 @@ int main() {
     TextTable table;
     table.SetHeader({"estimator", "est pairs", "rel error", "prepare ms"});
     const auto record = [&](const std::string& name,
-                            SelectivityEstimator* estimator) {
-      const auto outcome = estimator->Estimate(a, b);
-      if (!outcome.ok()) {
+                            const Result<double>& pairs,
+                            double prepare_seconds) {
+      if (!pairs.ok()) {
         std::fprintf(stderr, "%s on %s: %s\n", name.c_str(),
-                     pair_name.c_str(),
-                     outcome.status().ToString().c_str());
+                     pair_name.c_str(), pairs.status().ToString().c_str());
         return false;
       }
       AccuracyEntry entry;
       entry.name = pair_name + "/" + name;
-      entry.estimated_pairs = outcome->estimated_pairs;
+      entry.estimated_pairs = *pairs;
       entry.actual_pairs = actual;
-      entry.rel_error =
-          actual > 0.0 ? (outcome->estimated_pairs - actual) / actual : 0.0;
+      entry.rel_error = actual > 0.0 ? (*pairs - actual) / actual : 0.0;
       accuracy.push_back(entry);
       PerfEntry timing;
       timing.name = entry.name + "/prepare";
-      timing.ns_per_op = outcome->prepare_seconds * 1e9;
+      timing.ns_per_op = prepare_seconds * 1e9;
       perf.push_back(timing);
-      table.AddRow({name, FormatDouble(outcome->estimated_pairs, 1),
+      table.AddRow({name, FormatDouble(*pairs, 1),
                     FormatPercent(entry.rel_error),
-                    FormatDouble(outcome->prepare_seconds * 1e3, 2)});
+                    FormatDouble(prepare_seconds * 1e3, 2)});
       return true;
     };
 
+    Rect extent = a.ComputeExtent();
+    extent.Extend(b.ComputeExtent());
     for (const int level : kLevels) {
-      const auto gh = MakeGhEstimator(level);
-      if (!record("gh/L" + std::to_string(level), gh.get())) return 1;
-      const auto ph = MakePhEstimator(level);
-      if (!record("ph/L" + std::to_string(level), ph.get())) return 1;
+      const std::string suffix = "/L" + std::to_string(level);
+      double prepare = 0.0;
+      const auto gh = HistogramEstimate<GhHistogram>(
+          a, b, extent, level, EstimateGhJoinPairs, &prepare);
+      if (!record("gh" + suffix, gh, prepare)) return 1;
+      const auto ph = HistogramEstimate<PhHistogram>(
+          a, b, extent, level,
+          [](const PhHistogram& x, const PhHistogram& y) {
+            return EstimatePhJoinPairs(x, y);
+          },
+          &prepare);
+      if (!record("ph" + suffix, ph, prepare)) return 1;
     }
     SamplingOptions sampling;  // RSWR 10%/10%, seed 1 — all defaults, fixed
-    const auto sampler = MakeSamplingEstimator(sampling);
-    if (!record("sampling/rswr10", sampler.get())) return 1;
+    const auto sampled = EstimateBySampling(a, b, sampling);
+    const Result<double> sampled_pairs =
+        sampled.ok() ? Result<double>(sampled->estimated_pairs)
+                     : Result<double>(sampled.status());
+    if (!record("sampling/rswr10", sampled_pairs,
+                sampled.ok() ? sampled->select_seconds + sampled->build_seconds
+                             : 0.0)) {
+      return 1;
+    }
     std::printf("%s\n", table.ToString().c_str());
   }
 

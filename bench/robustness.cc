@@ -4,14 +4,17 @@
 // compares the raw GH estimator (which ingests the garbage) against the
 // guarded chain under --validate=quarantine. The exact join is immune to
 // the defects (NaN comparisons are false, inverted rects intersect
-// nothing), so the clean actual stays the reference throughout.
+// nothing), so the clean actual stays the reference throughout. Exits 1
+// unless the guarded estimate at every defect rate equals the clean one
+// bit for bit.
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
 #include "bench/bench_common.h"
-#include "core/estimator.h"
+#include "core/gh_histogram.h"
 #include "core/guarded_estimator.h"
 #include "stats/dataset_stats.h"
 #include "util/table.h"
@@ -42,6 +45,7 @@ int main(int argc, char** argv) {
     TextTable table;
     table.SetHeader({"defect rate", "raw GH estimate", "raw GH error",
                      "guarded estimate", "guarded error", "quarantined"});
+    double clean_guarded = 0.0;
     for (const double rate : {0.0, 0.001, 0.01, 0.05}) {
       // Pollute input A: cycle NaN / Inf / inverted defects.
       Dataset polluted(a.name() + "_polluted");
@@ -63,22 +67,38 @@ int main(int argc, char** argv) {
         }
       }
 
-      const auto raw = MakeGhEstimator(7)->Estimate(polluted, b);
+      // Raw GH: level-7 histograms of the unvalidated rects over their
+      // raw joint extent, which one non-finite rect poisons.
+      Rect raw_extent = polluted.ComputeExtent();
+      raw_extent.Extend(b.ComputeExtent());
+      const auto raw_a = GhHistogram::Build(polluted, raw_extent, 7);
+      const auto raw_b = GhHistogram::Build(b, raw_extent, 7);
       const double raw_est =
-          raw.ok() ? raw->estimated_pairs : std::numeric_limits<double>::quiet_NaN();
+          raw_a.ok() && raw_b.ok()
+              ? EstimateGhJoinPairs(*raw_a, *raw_b).value_or(kNaN)
+              : kNaN;
 
       GuardedEstimatorOptions options;
       options.policy = ValidationPolicy::kQuarantine;
       const auto guarded = GuardedEstimator(options).Estimate(polluted, b);
       if (!guarded.ok()) return 1;
+      const double guarded_est = guarded->outcome.estimated_pairs;
+      if (rate == 0.0) clean_guarded = guarded_est;
+      if (std::bit_cast<uint64_t>(guarded_est) !=
+          std::bit_cast<uint64_t>(clean_guarded)) {
+        std::fprintf(stderr,
+                     "%s at defect rate %g: guarded estimate %.17g differs "
+                     "from the clean %.17g\n",
+                     pair.Label().c_str(), rate, guarded_est, clean_guarded);
+        return 1;
+      }
 
       table.AddRow(
           {FormatPercent(rate), FormatDouble(raw_est, 1),
            std::isfinite(raw_est) ? FormatPercent(RelativeError(raw_est, actual))
                                   : "n/a (non-finite)",
-           FormatDouble(guarded->outcome.estimated_pairs, 1),
-           FormatPercent(
-               RelativeError(guarded->outcome.estimated_pairs, actual)),
+           FormatDouble(guarded_est, 1),
+           FormatPercent(RelativeError(guarded_est, actual)),
            std::to_string(guarded->validation_a.quarantined)});
     }
     std::printf("%s\n", table.ToString().c_str());

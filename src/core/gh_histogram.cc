@@ -1,6 +1,7 @@
 #include "core/gh_histogram.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/kernels.h"
 #include "core/tile_build.h"
@@ -883,6 +884,39 @@ Result<GhHistogram> GhHistogram::Load(const std::string& path) {
   }
   SJSEL_RETURN_IF_ERROR(r.ExpectBodyEnd("GH file " + path));
   return hist;
+}
+
+int RecommendGhLevel(size_t n, const Rect& extent, double avg_w, double avg_h,
+                     uint64_t space_budget_bytes) {
+  if (n == 0 || extent.IsEmpty() || extent.area() <= 0.0) return 0;
+
+  // Finest level keeping ~4 objects per cell if the data were uniform.
+  const double cells_for_density = static_cast<double>(n) / 4.0;
+  int density_level = 0;
+  while (density_level < 15 &&
+         std::pow(4.0, density_level + 1) <= cells_for_density) {
+    ++density_level;
+  }
+
+  // Level at which the cell size matches the average object size: going
+  // much finer stops adding information (the object spans many cells
+  // either way).
+  const double avg_extent = std::max(1e-12, std::max(avg_w, avg_h));
+  const double per_axis = std::max(extent.width(), extent.height());
+  int size_level = 0;
+  while (size_level < 15 &&
+         per_axis / std::pow(2.0, size_level + 1) >= avg_extent) {
+    ++size_level;
+  }
+
+  int level = std::min(density_level + 2, size_level + 2);
+  if (space_budget_bytes > 0) {
+    while (level > 0 &&
+           (uint64_t{32} << (2 * level)) > space_budget_bytes) {
+      --level;
+    }
+  }
+  return std::clamp(level, 0, 12);
 }
 
 }  // namespace sjsel

@@ -207,6 +207,18 @@ Result<double> EstimateGhJoinPairs(const GhHistogram& a, const GhHistogram& b);
 Result<double> EstimateGhJoinSelectivity(const GhHistogram& a,
                                          const GhHistogram& b);
 
+/// Picks a GH gridding level for a dataset of `n` objects with average
+/// extents (avg_w, avg_h) over `extent`, subject to an optional histogram
+/// space budget in bytes (0 = unlimited).
+///
+/// Heuristic distilled from the Figure 7 sweeps: since GH error only
+/// improves with level, choose the finest level whose cells still hold
+/// enough objects for the within-cell uniformity assumption (~4 per
+/// occupied cell) and do not drop far below the object size (finer cells
+/// stop helping once objects span many cells), then clamp to the budget.
+int RecommendGhLevel(size_t n, const Rect& extent, double avg_w, double avg_h,
+                     uint64_t space_budget_bytes = 0);
+
 }  // namespace sjsel
 
 #endif  // SJSEL_CORE_GH_HISTOGRAM_H_

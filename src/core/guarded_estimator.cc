@@ -2,14 +2,18 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <utility>
 
 #include "core/gh_histogram.h"
+#include "core/parametric.h"
+#include "core/ph_histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "stats/dataset_stats.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
@@ -70,19 +74,26 @@ void AppendReason(std::string* reason, EstimatorRung rung,
   reason->append(cause);
 }
 
-std::unique_ptr<SelectivityEstimator> MakeRung(
-    EstimatorRung rung, const GuardedEstimatorOptions& options) {
+// The rung's technique label, e.g. "GH(level=7)" or "RSWR(10%/10%)".
+std::string RungLabel(EstimatorRung rung,
+                      const GuardedEstimatorOptions& options) {
   switch (rung) {
     case EstimatorRung::kGh:
-      return MakeGhEstimator(options.gh_level);
+      return "GH(level=" + std::to_string(options.gh_level) + ")";
     case EstimatorRung::kPh:
-      return MakePhEstimator(options.ph_level);
-    case EstimatorRung::kSampling:
-      return MakeSamplingEstimator(options.sampling);
+      return "PH(level=" + std::to_string(options.ph_level) + ")";
+    case EstimatorRung::kSampling: {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%s(%.3g%%/%.3g%%)",
+                    SamplingMethodName(options.sampling.method).c_str(),
+                    options.sampling.frac_a * 100.0,
+                    options.sampling.frac_b * 100.0);
+      return buf;
+    }
     case EstimatorRung::kParametric:
-      return MakeParametricEstimator();
+      return "Parametric[AS94]";
   }
-  return nullptr;
+  return "unknown";
 }
 
 bool SameBits(double x, double y) {
@@ -113,22 +124,40 @@ Result<std::shared_ptr<const GhHistogram>> BuildGh(const Dataset& rects,
   return std::make_shared<const GhHistogram>(std::move(built).value());
 }
 
-// The GH rung: GhEstimator's estimate, with each side's histogram from
-// GhHistogramOn. The chain sets the selectivity from the range-checked
-// pair count.
-Result<EstimateOutcome> EstimateGh(const PreparedPair& pair, int level) {
-  EstimateOutcome out;
-  Timer timer;
-  std::shared_ptr<const GhHistogram> ha;
-  SJSEL_ASSIGN_OR_RETURN(ha, pair.a().GhHistogramOn(pair.frame, level));
-  std::shared_ptr<const GhHistogram> hb;
-  SJSEL_ASSIGN_OR_RETURN(hb, pair.b().GhHistogramOn(pair.frame, level));
-  out.prepare_seconds = timer.ElapsedSeconds();
-
-  timer.Reset();
-  SJSEL_ASSIGN_OR_RETURN(out.estimated_pairs, EstimateGhJoinPairs(*ha, *hb));
-  out.estimate_seconds = timer.ElapsedSeconds();
-  return out;
+// The rung's raw pair count on the pair's rects and frame. The GH rung
+// takes each side's histogram from GhHistogramOn; the others call their
+// technique's module directly.
+Result<double> RungPairs(EstimatorRung rung, const PreparedPair& pair,
+                         const GuardedEstimatorOptions& options) {
+  const Dataset& a = pair.a().rects();
+  const Dataset& b = pair.b().rects();
+  switch (rung) {
+    case EstimatorRung::kGh: {
+      std::shared_ptr<const GhHistogram> ha;
+      SJSEL_ASSIGN_OR_RETURN(
+          ha, pair.a().GhHistogramOn(pair.frame, options.gh_level));
+      std::shared_ptr<const GhHistogram> hb;
+      SJSEL_ASSIGN_OR_RETURN(
+          hb, pair.b().GhHistogramOn(pair.frame, options.gh_level));
+      return EstimateGhJoinPairs(*ha, *hb);
+    }
+    case EstimatorRung::kPh: {
+      const auto ha = PhHistogram::Build(a, pair.frame, options.ph_level);
+      if (!ha.ok()) return ha.status();
+      const auto hb = PhHistogram::Build(b, pair.frame, options.ph_level);
+      if (!hb.ok()) return hb.status();
+      return EstimatePhJoinPairs(*ha, *hb);
+    }
+    case EstimatorRung::kSampling: {
+      SamplingEstimate est;
+      SJSEL_ASSIGN_OR_RETURN(est, EstimateBySampling(a, b, options.sampling));
+      return est.estimated_pairs;
+    }
+    case EstimatorRung::kParametric:
+      return ParametricJoinPairs(DatasetStats::Compute(a, pair.frame),
+                                 DatasetStats::Compute(b, pair.frame));
+  }
+  return Status::Internal("unknown rung");
 }
 
 // `in` validated again against `frame`, as a copy with no summary slot.
@@ -314,28 +343,22 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       fail(kDegradeCauseInjected);
       continue;
     }
-    const std::unique_ptr<SelectivityEstimator> estimator =
-        MakeRung(rung, options_);
-    trial.label = estimator->Name();
-    Result<EstimateOutcome> outcome = Status::Internal("rung not run");
+    trial.label = RungLabel(rung, options_);
+    Result<double> raw = Status::Internal("rung not run");
     try {
-      // The GH rung computes GhEstimator's estimate through the inputs'
-      // summary slots; its estimator object only names the trial.
-      outcome = rung == EstimatorRung::kGh
-                    ? EstimateGh(pair, options_.gh_level)
-                    : estimator->EstimateWithin(va, vb, pair.frame);
+      raw = RungPairs(rung, pair, options_);
     } catch (const std::exception&) {
       // Injected worker faults surface here as FaultInjectedError rethrown
       // by ParallelFor; treat any rung exception as that rung failing.
       fail(kDegradeCauseException);
       continue;
     }
-    if (!outcome.ok()) {
+    if (!raw.ok()) {
       fail(std::string(kDegradeCauseErrorPrefix) +
-           StatusCodeName(outcome.status().code()));
+           StatusCodeName(raw.status().code()));
       continue;
     }
-    const double pairs = outcome->estimated_pairs;
+    const double pairs = *raw;
     if (std::isfinite(pairs)) {
       trial.raw_pairs = pairs;
       trial.has_raw_pairs = true;
@@ -348,15 +371,15 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       fail(kDegradeCauseNegative);
       continue;
     }
-    result.outcome = std::move(outcome).value();
-    if (result.outcome.estimated_pairs > bound) {
+    result.outcome.estimated_pairs = pairs;
+    if (pairs > bound) {
       result.outcome.estimated_pairs = bound;
       result.clamped = true;
       SJSEL_METRIC_INC("estimator.clamped");
     }
     result.outcome.selectivity = result.outcome.estimated_pairs / bound;
     result.rung = rung;
-    result.rung_label = estimator->Name();
+    result.rung_label = trial.label;
     trial.answered = true;
     trial.elapsed_us = static_cast<uint64_t>(rung_timer.ElapsedMicros());
     result.trials.push_back(std::move(trial));

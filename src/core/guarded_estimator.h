@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/sampling.h"
 #include "geom/dataset.h"
 #include "geom/validate.h"
@@ -17,6 +16,13 @@ namespace sjsel {
 
 class GhHistogram;
 struct GhSummarySlot;
+
+/// One pair-count estimate.
+struct EstimateOutcome {
+  double estimated_pairs = 0.0;
+  /// estimated_pairs / (N1 * N2); 0 when either input is empty.
+  double selectivity = 0.0;
+};
 
 /// The rungs of the guarded fallback chain, in descending preference:
 /// GH (the paper's headline estimator) → PH → sampling → the Aref–Samet
@@ -51,9 +57,9 @@ inline constexpr char kDegradeCauseErrorPrefix[] = "error:";
 /// introspection (the explain report renders these verbatim).
 struct RungTrial {
   EstimatorRung rung = EstimatorRung::kGh;
-  /// Technique label once the rung was constructed ("GH(level=7)"); empty
-  /// for rungs skipped before construction (injected faults). The
-  /// empty-input and zero-floor pseudo-rungs use "Empty" / "Zero".
+  /// Technique label once the rung ran ("GH(level=7)"); empty for rungs
+  /// skipped before they ran (injected faults). The empty-input and
+  /// zero-floor pseudo-rungs use "Empty" / "Zero".
   std::string label;
   /// True when this rung's estimate was accepted as the answer.
   bool answered = false;
@@ -202,7 +208,8 @@ struct PreparedPair {
 Result<PreparedPair> PreparePair(const PreparedInput& a,
                                  const PreparedInput& b);
 
-/// Guardrailed facade over the whole estimator family. Every estimate is
+/// The one way to ask for a pair estimate: runs the rungs, each a plain
+/// call into its technique's module, in chain order. Every estimate is
 /// validated before use: non-finite, negative and out-of-range values trip
 /// a guard, and any guard trip, error Status, injected fault or exception
 /// degrades to the next rung instead of surfacing garbage. The final

@@ -86,7 +86,7 @@ TEST_F(DegradationReasonTest, InjectedGh) {
   const EstimateResult result = Run();
   EXPECT_EQ(result.degradation_reason, "gh:injected");
   EXPECT_EQ(ReasonFromTrials(result), result.degradation_reason);
-  // The injected rung is skipped before construction: no label.
+  // The injected rung is skipped before it runs: no label.
   ASSERT_EQ(result.trials.size(), 2u);
   EXPECT_EQ(result.trials[0].label, "");
   EXPECT_FALSE(result.trials[0].answered);
@@ -123,7 +123,7 @@ TEST_F(DegradationReasonTest, WorkerExceptionInSamplingRung) {
   EXPECT_EQ(result.degradation_reason,
             "gh:injected;ph:injected;sampling:exception");
   EXPECT_EQ(ReasonFromTrials(result), result.degradation_reason);
-  // The exception arrived after construction: the trial keeps the label.
+  // The exception arrived while the rung ran: the trial keeps the label.
   ASSERT_EQ(result.trials.size(), 4u);
   EXPECT_NE(result.trials[2].label, "");
   EXPECT_EQ(result.trials[2].cause, kDegradeCauseException);

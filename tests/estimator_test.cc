@@ -1,14 +1,24 @@
-#include "core/estimator.h"
-#include "core/gh_histogram.h"
+// Each estimation technique as the guarded chain runs it: the chain is
+// forced one rung further down per step with fault injection, so every
+// rung answers once on the same pair. Techniques outside the chain
+// (MinSkew) and the GH level advisor are checked through their modules.
+
+#include "core/guarded_estimator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
+#include "core/gh_histogram.h"
+#include "core/minskew.h"
+#include "core/sampling.h"
 #include "datagen/generators.h"
 #include "join/nested_loop.h"
 #include "stats/dataset_stats.h"
+#include "util/fault_injection.h"
 
 namespace sjsel {
 namespace {
@@ -27,81 +37,111 @@ Dataset MakeClustered(size_t n, uint64_t seed) {
                                    seed);
 }
 
-TEST(EstimatorFacadeTest, NamesIdentifyTechniques) {
-  EXPECT_EQ(MakeGhEstimator(7)->Name(), "GH(level=7)");
-  EXPECT_EQ(MakePhEstimator(5)->Name(), "PH(level=5)");
-  EXPECT_EQ(MakeParametricEstimator()->Name(), "Parametric[AS94]");
-  SamplingOptions options;
-  options.method = SamplingMethod::kRandomWithReplacement;
-  options.frac_a = 0.1;
-  options.frac_b = 0.01;
-  EXPECT_EQ(MakeSamplingEstimator(options)->Name(), "RSWR(10%/1%)");
+// Fault specs that skip every rung above the indexed one, so rung i of
+// the chain answers.
+const char* const kSkipAbove[] = {
+    nullptr,
+    "estimator.gh=always",
+    "estimator.gh=always,estimator.ph=always",
+    "estimator.gh=always,estimator.ph=always,estimator.sampling=always",
+};
+
+// The chain's answer with every rung above `rung` skipped.
+EstimateResult EstimateAtRung(EstimatorRung rung,
+                              const GuardedEstimatorOptions& options,
+                              const Dataset& a, const Dataset& b) {
+  std::optional<ScopedFaultInjection> arm;
+  if (const char* spec = kSkipAbove[static_cast<int>(rung)]) {
+    arm.emplace(spec);
+    EXPECT_TRUE(arm->status().ok());
+  }
+  const auto result = GuardedEstimator(options).Estimate(a, b);
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
+    return {};
+  }
+  EXPECT_EQ(result->rung, rung) << result->degradation_reason;
+  return *result;
 }
 
-TEST(EstimatorFacadeTest, AllTechniquesProduceFiniteEstimates) {
+constexpr EstimatorRung kRungs[] = {EstimatorRung::kGh, EstimatorRung::kPh,
+                                    EstimatorRung::kSampling,
+                                    EstimatorRung::kParametric};
+
+TEST(ChainRungTest, LabelsIdentifyTechniques) {
+  const Dataset a = MakeUniform(300, 21);
+  const Dataset b = MakeUniform(300, 22);
+  GuardedEstimatorOptions options;
+  options.sampling.frac_b = 0.01;
+  const char* const kLabels[] = {"GH(level=7)", "PH(level=5)", "RSWR(10%/1%)",
+                                 "Parametric[AS94]"};
+  for (const EstimatorRung rung : kRungs) {
+    EXPECT_EQ(EstimateAtRung(rung, options, a, b).rung_label,
+              kLabels[static_cast<int>(rung)]);
+  }
+}
+
+TEST(ChainRungTest, EveryRungGivesAFiniteEstimateNearExact) {
   const Dataset a = MakeUniform(1500, 31);
   const Dataset b = MakeClustered(1500, 32);
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
   ASSERT_GT(actual, 0.0);
 
-  SamplingOptions sampling;
-  sampling.frac_a = 0.2;
-  sampling.frac_b = 0.2;
-  std::vector<std::unique_ptr<SelectivityEstimator>> estimators;
-  estimators.push_back(MakeGhEstimator(6));
-  estimators.push_back(MakePhEstimator(4));
-  estimators.push_back(MakeParametricEstimator());
-  estimators.push_back(MakeSamplingEstimator(sampling));
-
-  for (auto& estimator : estimators) {
-    const auto outcome = estimator->Estimate(a, b);
-    ASSERT_TRUE(outcome.ok())
-        << estimator->Name() << ": " << outcome.status().ToString();
-    EXPECT_GE(outcome->estimated_pairs, 0.0) << estimator->Name();
-    EXPECT_TRUE(std::isfinite(outcome->estimated_pairs))
-        << estimator->Name();
-    EXPECT_NEAR(outcome->selectivity,
-                outcome->estimated_pairs / (1500.0 * 1500.0), 1e-12)
-        << estimator->Name();
+  GuardedEstimatorOptions options;
+  options.gh_level = 6;
+  options.ph_level = 4;
+  options.sampling.frac_a = 0.2;
+  options.sampling.frac_b = 0.2;
+  for (const EstimatorRung rung : kRungs) {
+    const EstimateResult result = EstimateAtRung(rung, options, a, b);
+    const std::string label = result.rung_label;
+    EXPECT_GE(result.outcome.estimated_pairs, 0.0) << label;
+    EXPECT_TRUE(std::isfinite(result.outcome.estimated_pairs)) << label;
+    EXPECT_NEAR(result.outcome.selectivity,
+                result.outcome.estimated_pairs / (1500.0 * 1500.0), 1e-12)
+        << label;
     // Every technique should be within an order of magnitude here; GH
     // should be tight.
-    EXPECT_LT(RelativeError(outcome->estimated_pairs, actual), 3.0)
-        << estimator->Name();
+    EXPECT_LT(RelativeError(result.outcome.estimated_pairs, actual), 3.0)
+        << label;
   }
 }
 
-TEST(EstimatorFacadeTest, GhIsTheMostAccurateOnSkewedData) {
+TEST(ChainRungTest, GhIsMoreAccurateThanParametricOnSkewedData) {
   const Dataset a = MakeClustered(2500, 41);
   const Dataset b = MakeClustered(2500, 42);
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
   ASSERT_GT(actual, 0.0);
-  const auto gh = MakeGhEstimator(7)->Estimate(a, b);
-  const auto parametric = MakeParametricEstimator()->Estimate(a, b);
-  ASSERT_TRUE(gh.ok());
-  ASSERT_TRUE(parametric.ok());
-  const double gh_err = RelativeError(gh->estimated_pairs, actual);
-  const double par_err = RelativeError(parametric->estimated_pairs, actual);
+  const GuardedEstimatorOptions options;
+  const double gh_err = RelativeError(
+      EstimateAtRung(EstimatorRung::kGh, options, a, b).outcome.estimated_pairs,
+      actual);
+  const double par_err = RelativeError(
+      EstimateAtRung(EstimatorRung::kParametric, options, a, b)
+          .outcome.estimated_pairs,
+      actual);
   EXPECT_LT(gh_err, 0.10);
   EXPECT_LT(gh_err, par_err);
 }
 
-TEST(EstimatorFacadeTest, EstimatorsRejectEmptyInputs) {
+TEST(ChainRungTest, SamplingRejectsAnEmptyInput) {
   const Dataset a = MakeUniform(100, 51);
   const Dataset empty("empty");
-  EXPECT_FALSE(MakeParametricEstimator()->Estimate(a, empty).ok());
-  SamplingOptions sampling;
-  EXPECT_FALSE(MakeSamplingEstimator(sampling)->Estimate(empty, a).ok());
+  EXPECT_FALSE(EstimateBySampling(empty, a, SamplingOptions{}).ok());
 }
 
-TEST(EstimatorFacadeTest, MinSkewEstimatorWorks) {
+TEST(MinSkewEstimateTest, WithinThirtyPercentOfExact) {
   const Dataset a = MakeClustered(1500, 71);
   const Dataset b = MakeUniform(1500, 72);
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
-  auto estimator = MakeMinSkewEstimator(256);
-  EXPECT_EQ(estimator->Name(), "MinSkew(buckets=256)");
-  const auto outcome = estimator->Estimate(a, b);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_LT(RelativeError(outcome->estimated_pairs, actual), 0.30);
+  Rect extent = a.ComputeExtent();
+  extent.Extend(b.ComputeExtent());
+  const auto ha = MinSkewHistogram::Build(a, extent, 256);
+  const auto hb = MinSkewHistogram::Build(b, extent, 256);
+  ASSERT_TRUE(ha.ok() && hb.ok());
+  const auto pairs = EstimateMinSkewJoinPairs(*ha, *hb);
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  EXPECT_LT(RelativeError(*pairs, actual), 0.30);
 }
 
 TEST(RecommendGhLevelTest, EdgeCases) {
@@ -159,15 +199,6 @@ TEST(RecommendGhLevelTest, RecommendationIsAccurateInPractice) {
   }
   EXPECT_LE(pick, 8);
   EXPECT_LT(pick_err, std::max(2.0 * best_err, 0.05));
-}
-
-TEST(EstimatorFacadeTest, TimingFieldsArePopulated) {
-  const Dataset a = MakeUniform(2000, 61);
-  const Dataset b = MakeUniform(2000, 62);
-  const auto outcome = MakeGhEstimator(6)->Estimate(a, b);
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->prepare_seconds, 0.0);
-  EXPECT_GE(outcome->estimate_seconds, 0.0);
 }
 
 }  // namespace

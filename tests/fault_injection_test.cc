@@ -256,13 +256,18 @@ TEST(ThreadedBuildFaultTest, WorkerFaultEscapesGhBuildDeterministically) {
 }
 
 TEST_F(GuardedChainTest, InjectionDisabledMatchesDirectEstimate) {
-  // The guarded facade must not perturb the primary path: with no faults
+  // The guarded chain must not perturb the primary path: with no faults
   // armed and clean input, its estimate equals the direct GH estimate.
   const auto guarded = GuardedEstimator().Estimate(a_, b_);
   ASSERT_TRUE(guarded.ok());
-  const auto direct = MakeGhEstimator(7)->Estimate(a_, b_);
+  Rect extent = a_.ComputeExtent();
+  extent.Extend(b_.ComputeExtent());
+  const auto ha = GhHistogram::Build(a_, extent, 7);
+  const auto hb = GhHistogram::Build(b_, extent, 7);
+  ASSERT_TRUE(ha.ok() && hb.ok());
+  const auto direct = EstimateGhJoinPairs(*ha, *hb);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(guarded->outcome.estimated_pairs, direct->estimated_pairs);
+  EXPECT_EQ(guarded->outcome.estimated_pairs, *direct);
 }
 
 }  // namespace

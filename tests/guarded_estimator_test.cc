@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/gh_histogram.h"
 #include "datagen/generators.h"
 #include "geom/validate.h"
@@ -75,8 +74,14 @@ Result<EstimateResult> Reference(const Dataset& a, const Dataset& b,
   Dataset vb;
   SJSEL_ASSIGN_OR_RETURN(vb,
                          ValidateDataset(b, extent, policy, &ref.validation_b));
-  SJSEL_ASSIGN_OR_RETURN(ref.outcome,
-                         MakeGhEstimator(level)->Estimate(va, vb));
+  Rect frame = va.ComputeExtent();
+  frame.Extend(vb.ComputeExtent());
+  const auto ha = GhHistogram::Build(va, frame, level);
+  if (!ha.ok()) return ha.status();
+  const auto hb = GhHistogram::Build(vb, frame, level);
+  if (!hb.ok()) return hb.status();
+  SJSEL_ASSIGN_OR_RETURN(ref.outcome.estimated_pairs,
+                         EstimateGhJoinPairs(*ha, *hb));
   RungTrial trial;
   trial.rung = EstimatorRung::kGh;
   trial.label = "GH(level=" + std::to_string(level) + ")";

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/estimator.h"
 #include "core/parametric.h"
 #include "core/gh_histogram.h"
 #include "core/ph_histogram.h"
+#include "core/sampling.h"
 #include "datagen/workloads.h"
 #include "join/plane_sweep.h"
 #include "stats/dataset_stats.h"
@@ -131,7 +131,7 @@ TEST(IntegrationTest, SamplingTenPercentIsReasonableOnPaperPairs) {
   const int runs = 5;
   for (int seed = 1; seed <= runs; ++seed) {
     options.seed = static_cast<uint64_t>(seed);
-    const auto est = MakeSamplingEstimator(options)->Estimate(f.a, f.b);
+    const auto est = EstimateBySampling(f.a, f.b, options);
     ASSERT_TRUE(est.ok());
     mean_estimate += est->estimated_pairs / runs;
   }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/gh_histogram.h"
 #include "core/ph_histogram.h"
 #include "datagen/generators.h"
