@@ -458,7 +458,10 @@ int CmdHistBuild(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
   }
   int level = 7;
   SJSEL_FLAG_OR_RETURN(level, args.FlagInt("level", 7));
-  Rect extent = ds->ComputeExtent();
+  // The default grid is the well-formed rects' extent, the frame estimates
+  // use, so a NaN rect cannot poison it.
+  size_t defective = 0;
+  Rect extent = WellFormedExtent(*ds, &defective);
   if (args.Has("extent")) {
     const auto parsed = ParseRect(args.Flag("extent", ""));
     if (!parsed.has_value()) {
@@ -488,6 +491,15 @@ int CmdHistBuild(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
       std::fprintf(out, "validation           : %s\n",
                    counters.ToString().c_str());
     }
+  } else if (defective > 0) {
+    // No cell can own a non-finite rect, so no build sees one.
+    Dataset finite(ds->name());
+    for (const Rect& r : ds->rects()) {
+      if (ClassifyRect(r, Rect::Empty()) != RectDefect::kNonFinite) {
+        finite.Add(r);
+      }
+    }
+    ds = std::move(finite);
   }
   const std::string scheme = args.Flag("scheme", "gh");
   int threads = 1;
@@ -842,15 +854,19 @@ int CmdEstimate(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
     std::fprintf(err, "%s\n", pairs.status().ToString().c_str());
     return 1;
   }
+  // A histogram file records its dataset's rect count, so the answer is
+  // bounded as the chain bounds it.
+  bool clamped = false;
+  const EstimateOutcome est =
+      ClampPairCount(*pairs, static_cast<double>(n1),
+                     static_cast<double>(n2), &clamped);
   std::fprintf(out, "estimated pairs      : %s\n",
-               FormatDouble(pairs.value(), 1).c_str());
+               FormatDouble(est.estimated_pairs, 1).c_str());
   if (n1 > 0 && n2 > 0) {
     std::fprintf(out, "estimated selectivity: %s\n",
-                 FormatDouble(pairs.value() / (static_cast<double>(n1) *
-                                               static_cast<double>(n2)),
-                              6)
-                     .c_str());
+                 FormatDouble(est.selectivity, 6).c_str());
   }
+  if (clamped) std::fprintf(out, "clamped              : yes\n");
   return 0;
 }
 
@@ -1292,7 +1308,12 @@ int CmdIngest(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
       return 1;
     }
     const auto snap = ingest.snapshot();
-    const auto est = stream::EstimateStreamJoin(snap->gh, *prepared);
+    const auto bh = stream::BuildOnStreamGrid(snap->gh, *prepared);
+    if (!bh.ok()) {
+      std::fprintf(err, "%s\n", bh.status().ToString().c_str());
+      return 1;
+    }
+    const auto est = stream::EstimateStreamJoin(snap->gh, *prepared, *bh);
     if (!est.ok()) {
       std::fprintf(err, "%s\n", est.status().ToString().c_str());
       return 1;

@@ -1,5 +1,6 @@
 #include "core/guarded_estimator.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -176,6 +177,16 @@ Result<PreparedInput> RevalidatedCopy(const PreparedInput& in,
 
 }  // namespace
 
+EstimateOutcome ClampPairCount(double raw_pairs, double n1, double n2,
+                               bool* clamped) {
+  const double bound = n1 * n2;
+  EstimateOutcome out;
+  out.estimated_pairs = std::clamp(raw_pairs, 0.0, bound);
+  *clamped = raw_pairs < 0.0 || raw_pairs > bound;
+  out.selectivity = bound > 0.0 ? out.estimated_pairs / bound : 0.0;
+  return out;
+}
+
 std::shared_ptr<const GhHistogram> PreparedInput::GhSummary() const {
   if (gh_slot == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(gh_slot->mu);
@@ -223,15 +234,9 @@ Result<PreparedInput> PrepareInput(const Dataset& dataset,
   in.gh_slot = std::make_shared<GhSummarySlot>();
   // The extent comes from finite, well-formed rects only, so a handful of
   // NaN/Inf rects cannot poison the frame the clean ones are judged in.
-  bool clean = true;
-  for (const Rect& r : dataset.rects()) {
-    if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) {
-      in.extent.Extend(r);
-    } else {
-      clean = false;
-    }
-  }
-  if (clean) {
+  size_t defective = 0;
+  in.extent = WellFormedExtent(dataset, &defective);
+  if (defective == 0) {
     in.counters.checked = dataset.size();
     SJSEL_METRIC_ADD("validate.checked", dataset.size());
     return in;
@@ -317,7 +322,6 @@ Result<EstimateResult> GuardedEstimator::Estimate(
   // N1*N2 joined pairs, whatever the data looks like.
   const double n1 = static_cast<double>(va.size());
   const double n2 = static_cast<double>(vb.size());
-  const double bound = n1 * n2;
 
   constexpr EstimatorRung kChain[] = {
       EstimatorRung::kGh, EstimatorRung::kPh, EstimatorRung::kSampling,
@@ -371,13 +375,8 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       fail(kDegradeCauseNegative);
       continue;
     }
-    result.outcome.estimated_pairs = pairs;
-    if (pairs > bound) {
-      result.outcome.estimated_pairs = bound;
-      result.clamped = true;
-      SJSEL_METRIC_INC("estimator.clamped");
-    }
-    result.outcome.selectivity = result.outcome.estimated_pairs / bound;
+    result.outcome = ClampPairCount(pairs, n1, n2, &result.clamped);
+    if (result.clamped) SJSEL_METRIC_INC("estimator.clamped");
     result.rung = rung;
     result.rung_label = trial.label;
     trial.answered = true;

@@ -24,6 +24,13 @@ struct EstimateOutcome {
   double selectivity = 0.0;
 };
 
+/// `raw_pairs` clamped into [0, n1 * n2], the range the pair count of
+/// inputs of n1 and n2 rects lies in, with its selectivity. Sets *clamped
+/// when the clamp moved the value. The chain, the stream estimate and
+/// `estimate` on histogram files all bound their answers through it.
+EstimateOutcome ClampPairCount(double raw_pairs, double n1, double n2,
+                               bool* clamped);
+
 /// The rungs of the guarded fallback chain, in descending preference:
 /// GH (the paper's headline estimator) → PH → sampling → the Aref–Samet
 /// parametric model (Eq. 1), which needs only aggregate statistics and

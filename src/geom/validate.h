@@ -41,6 +41,12 @@ enum class RectDefect : uint8_t {
 /// containment check — structural validation only.
 RectDefect ClassifyRect(const Rect& r, const Rect& extent);
 
+/// Bounding box of the rects of `ds` that ClassifyRect finds well formed
+/// (finite, not inverted): the frame estimates grid a dataset on, which a
+/// NaN or inverted rect cannot poison. *defective receives the count of
+/// the other rects.
+Rect WellFormedExtent(const Dataset& ds, size_t* defective);
+
 /// Tallies of what a validation pass saw and did. Surfaced through
 /// EstimateResult so callers of the guarded estimator can see how much of
 /// the input was repaired or dropped before the estimate they are trusting.
@@ -53,6 +59,8 @@ struct RobustnessCounters {
   uint64_t quarantined = 0;    ///< dropped from the output
 
   uint64_t Defects() const { return non_finite + inverted + out_of_extent; }
+  /// Rects in the validated output.
+  uint64_t Kept() const { return checked - quarantined; }
   void Merge(const RobustnessCounters& other);
   /// Machine-readable "checked=N non_finite=N inverted=N out_of_extent=N
   /// clamped=N quarantined=N".

@@ -208,7 +208,6 @@ Result<MultiJoinPlan> PlanFromPairEstimates(
   MultiJoinPlan plan;
   for (const PlannerInput& input : inputs) {
     plan.inputs.push_back(input.label);
-    plan.input_sizes.push_back(input.dataset->size());
   }
   size_t idx = 0;
   for (size_t i = 0; i < k; ++i) {
@@ -220,6 +219,12 @@ Result<MultiJoinPlan> PlanFromPairEstimates(
                           ": " + result.status().message());
       }
       const EstimateResult& est = *result;
+      // Each input's size is its validated rect count, the N the pairs'
+      // selectivities divide by; row 0 holds every input once.
+      if (i == 0) {
+        if (j == 1) plan.input_sizes.push_back(est.validation_a.Kept());
+        plan.input_sizes.push_back(est.validation_b.Kept());
+      }
       PairSelectivity pair;
       pair.i = i;
       pair.j = j;

@@ -74,6 +74,8 @@ struct PlannerInput {
 struct MultiJoinPlan {
   /// Input labels in caller order (what pair indices refer to).
   std::vector<std::string> inputs;
+  /// Each input's validated rect count, the N its pairs' selectivities
+  /// divide by (taken from the first pair the input is in).
   std::vector<size_t> input_sizes;
   /// All k*(k-1)/2 pairs, ordered by (i, j).
   std::vector<PairSelectivity> pairs;

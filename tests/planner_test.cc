@@ -54,6 +54,28 @@ class PlannerTest : public ::testing::Test {
   std::vector<Dataset> datasets_;
 };
 
+// 3,000 uniform rects followed by 600 NaN rects.
+Dataset UniformWithNanTail() {
+  Dataset ds = MakeUniform("u_nan", 3000, 3);
+  for (int i = 0; i < 600; ++i) {
+    ds.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2));
+  }
+  return ds;
+}
+
+TEST(PlannerSizesTest, TwoWayCardinalityIsThePairEstimateOnValidatedSizes) {
+  // The selectivity divides by the validated sizes, so the plan must
+  // multiply it by them too, not by the raw 3,600.
+  const Dataset a = UniformWithNanTail();
+  const Dataset b = MakeClustered("c", 3000, 4);
+  const auto plan =
+      PlanMultiJoin({PlannerInput{"a.ds", &a}, PlannerInput{"b.ds", &b}});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->input_sizes, (std::vector<size_t>{3000, 3000}));
+  ASSERT_EQ(plan->steps.size(), 1u);
+  EXPECT_EQ(plan->steps[0].output_cardinality, plan->pairs[0].estimated_pairs);
+}
+
 TEST_F(PlannerTest, PairEstimatesMatchStandaloneEstimatorBitForBit) {
   PlannerOptions options;
   const auto plan = PlanMultiJoin(Inputs(3), options);

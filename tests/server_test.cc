@@ -185,6 +185,34 @@ TEST_F(ServerTest, PlanMatchesInProcessPlanner) {
   EXPECT_EQ(plan_json->Dump(), expected->Dump());
 }
 
+TEST_F(ServerTest, TwoWayPlanCardinalityIsThePairEstimateOnValidatedSizes) {
+  // 3,000 uniform rects and 600 NaN ones, with 3,000 clustered rects: the
+  // step multiplies the selectivity by the validated sizes it divides by.
+  Dataset dirty = MakeUniform("u_nan", 3000, 3);
+  for (int i = 0; i < 600; ++i) {
+    dirty.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2));
+  }
+  const std::string dirty_path = ::testing::TempDir() + "/server_nan.ds";
+  const std::string other_path = ::testing::TempDir() + "/server_cl.ds";
+  ASSERT_TRUE(dirty.Save(dirty_path).ok());
+  gen::SizeDist size{gen::SizeDist::Kind::kUniform, 0.005, 0.005, 0.5};
+  ASSERT_TRUE(gen::GaussianClusterRects("c", 3000, Rect(0, 0, 1, 1),
+                                        {{0.4, 0.7}, 0.1, 0.1, 1.0}, size, 4)
+                  .Save(other_path)
+                  .ok());
+  Server server(ServerOptions{});
+  const JsonValue response =
+      Handle(&server, R"({"op":"plan","paths":[")" + dirty_path + R"(",")" +
+                          other_path + R"("]})");
+  ASSERT_TRUE(response.Find("ok")->bool_value()) << ErrorCode(response);
+  const JsonValue* plan = response.Find("result")->Find("plan");
+  EXPECT_EQ(plan->Find("inputs")->at(0).Find("n")->number_value(), 3000.0);
+  EXPECT_EQ(plan->Find("steps")->at(0).Find("output_cardinality")->number_value(),
+            plan->Find("pairs")->at(0).Find("estimated_pairs")->number_value());
+  std::remove(dirty_path.c_str());
+  std::remove(other_path.c_str());
+}
+
 TEST_F(ServerTest, RepeatedPlanIsAnsweredFromThePairCache) {
   Server server(ServerOptions{});
   const std::string plan = R"({"op":"plan","paths":[")" + a_path_ +
@@ -937,6 +965,27 @@ TEST_F(ServerTest, StreamEstimateIsClampedLikeEstimate) {
   EXPECT_TRUE(pair.Find("result")->Find("clamped")->bool_value());
   RemoveStream(dir);
   std::remove(one.c_str());
+}
+
+TEST_F(ServerTest, AuditedStreamEstimateBuildsBOnce) {
+  // The snapshot and MaterializeState() share the stream's grid, so one
+  // build of b serves both the answer and the audit's reference.
+  ServerOptions options;
+  options.audit_rate = 1.0;
+  Server server(options);
+  const std::string dir = InitStreamOverHandleLine(
+      &server, "server_stream_audit", "[[0.1,0.1,0.3,0.3],[0.4,0.4,0.6,0.7]]");
+  const std::string line = R"({"op":"stream_estimate","stream":")" + dir +
+                           R"(","b":")" + a_path_ + R"("})";
+  for (int i = 0; i < 2; ++i) {
+    const double builds = Counter(&server, "hist.gh.builds");
+    const double audits = Counter(&server, "accuracy.audits");
+    const JsonValue est = Handle(&server, line);
+    ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
+    EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 1.0);
+    EXPECT_EQ(Counter(&server, "accuracy.audits"), audits + 1.0);
+  }
+  RemoveStream(dir);
 }
 
 TEST_F(ServerTest, StreamEstimateQuarantinesNanRectsOfB) {
