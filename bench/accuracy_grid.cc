@@ -159,10 +159,9 @@ int main() {
     }
     SamplingOptions sampling;  // RSWR 10%/10%, seed 1 — all defaults, fixed
     const auto sampled = EstimateBySampling(a, b, sampling);
-    const Result<double> sampled_pairs =
-        sampled.ok() ? Result<double>(sampled->estimated_pairs)
-                     : Result<double>(sampled.status());
-    if (!record("sampling/rswr10", sampled_pairs,
+    if (!record("sampling/rswr10",
+                sampled.ok() ? Result<double>(sampled->estimated_pairs)
+                             : sampled.status(),
                 sampled.ok() ? sampled->select_seconds + sampled->build_seconds
                              : 0.0)) {
       return 1;

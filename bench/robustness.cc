@@ -86,10 +86,8 @@ int main(int argc, char** argv) {
       if (rate == 0.0) clean_guarded = guarded_est;
       if (std::bit_cast<uint64_t>(guarded_est) !=
           std::bit_cast<uint64_t>(clean_guarded)) {
-        std::fprintf(stderr,
-                     "%s at defect rate %g: guarded estimate %.17g differs "
-                     "from the clean %.17g\n",
-                     pair.Label().c_str(), rate, guarded_est, clean_guarded);
+        std::fprintf(stderr, "%s: guarded estimate at %g defects differs\n",
+                     pair.Label().c_str(), rate);
         return 1;
       }
 

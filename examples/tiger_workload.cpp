@@ -50,16 +50,18 @@ int main(int argc, char** argv) {
   // construction is the separate "prepare" column.
   table.SetHeader({"technique", "est. pairs", "error", "prepare s",
                    "estimate s", "est. time vs join"});
-  const auto add_row = [&](const std::string& name, double pairs,
-                           double prepare_s, double estimate_s) {
-    table.AddRow({name, FormatDouble(pairs, 0),
-                  FormatPercent(RelativeError(pairs, static_cast<double>(actual))),
+  const auto add_row = [&](const std::string& name,
+                           const Result<double>& pairs, double prepare_s,
+                           double estimate_s) {
+    if (!pairs.ok()) {
+      std::fprintf(stderr, "%s failed: %s\n", name.c_str(),
+                   pairs.status().ToString().c_str());
+      return;
+    }
+    const double err = RelativeError(*pairs, static_cast<double>(actual));
+    table.AddRow({name, FormatDouble(*pairs, 0), FormatPercent(err),
                   FormatDouble(prepare_s, 4), FormatDouble(estimate_s, 5),
                   FormatPercent(estimate_s / join_seconds)});
-  };
-  const auto report_failure = [](const std::string& name, const Status& st) {
-    std::fprintf(stderr, "%s failed: %s\n", name.c_str(),
-                 st.ToString().c_str());
   };
 
   // Summary techniques build one summary per layer on the joint extent
@@ -73,24 +75,21 @@ int main(int argc, char** argv) {
     const auto sb = build(blocks);
     const double prepare_s = timer.ElapsedSeconds();
     if (!sa.ok() || !sb.ok()) {
-      return report_failure(name, !sa.ok() ? sa.status() : sb.status());
+      return add_row(name, !sa.ok() ? sa.status() : sb.status(), 0.0, 0.0);
     }
     timer.Reset();
     const auto pairs = combine(*sa, *sb);
-    const double estimate_s = timer.ElapsedSeconds();
-    if (!pairs.ok()) return report_failure(name, pairs.status());
-    add_row(name, *pairs, prepare_s, estimate_s);
+    add_row(name, pairs, prepare_s, timer.ElapsedSeconds());
   };
 
-  {
-    Timer timer;
-    const DatasetStats sa = DatasetStats::Compute(streams, extent);
-    const DatasetStats sb = DatasetStats::Compute(blocks, extent);
-    const double prepare_s = timer.ElapsedSeconds();
-    timer.Reset();
-    const double pairs = ParametricJoinPairs(sa, sb);
-    add_row("Parametric[AS94]", pairs, prepare_s, timer.ElapsedSeconds());
-  }
+  add_summary_row(
+      "Parametric[AS94]",
+      [&](const Dataset& d) -> Result<DatasetStats> {
+        return DatasetStats::Compute(d, extent);
+      },
+      [](const DatasetStats& a, const DatasetStats& b) -> Result<double> {
+        return ParametricJoinPairs(a, b);
+      });
   add_summary_row(
       "PH(level=5)",
       [&](const Dataset& d) { return PhHistogram::Build(d, extent, 5); },
@@ -103,24 +102,24 @@ int main(int argc, char** argv) {
       EstimateGhJoinPairs);
   add_summary_row(
       "MinSkew(buckets=1024)",
-      [&](const Dataset& d) { return MinSkewHistogram::Build(d, extent, 1024); },
+      [&](const Dataset& d) {
+        return MinSkewHistogram::Build(d, extent, 1024);
+      },
       EstimateMinSkewJoinPairs);
 
   for (const SamplingMethod method :
        {SamplingMethod::kRegular, SamplingMethod::kRandomWithReplacement,
         SamplingMethod::kSorted}) {
-    SamplingOptions options;
+    SamplingOptions options;  // 10%/10% samples by default
     options.method = method;
-    options.frac_a = 0.1;
-    options.frac_b = 0.1;
     const std::string name = SamplingMethodName(method) + "(10%/10%)";
     const auto est = EstimateBySampling(streams, blocks, options);
     if (!est.ok()) {
-      report_failure(name, est.status());
+      add_row(name, est.status(), 0.0, 0.0);
       continue;
     }
-    add_row(name, est->estimated_pairs, est->select_seconds + est->build_seconds,
-            est->join_seconds);
+    add_row(name, est->estimated_pairs,
+            est->select_seconds + est->build_seconds, est->join_seconds);
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(

@@ -458,10 +458,14 @@ int CmdHistBuild(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
   }
   int level = 7;
   SJSEL_FLAG_OR_RETURN(level, args.FlagInt("level", 7));
-  // The default grid is the well-formed rects' extent, the frame estimates
-  // use, so a NaN rect cannot poison it.
-  size_t defective = 0;
-  Rect extent = WellFormedExtent(*ds, &defective);
+  // The default grid is the extent estimates use, that of the well-formed
+  // rects, so a NaN rect cannot poison it.
+  const auto prepared = PrepareInput(*ds, ValidationPolicy::kQuarantine);
+  if (!prepared.ok()) {
+    std::fprintf(err, "%s\n", prepared.status().ToString().c_str());
+    return 1;
+  }
+  Rect extent = prepared->extent;
   if (args.Has("extent")) {
     const auto parsed = ParseRect(args.Flag("extent", ""));
     if (!parsed.has_value()) {
@@ -491,7 +495,7 @@ int CmdHistBuild(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
       std::fprintf(out, "validation           : %s\n",
                    counters.ToString().c_str());
     }
-  } else if (defective > 0) {
+  } else if (prepared->counters.non_finite > 0) {
     // No cell can own a non-finite rect, so no build sees one.
     Dataset finite(ds->name());
     for (const Rect& r : ds->rects()) {
@@ -835,8 +839,8 @@ int CmdEstimate(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
   }
   Result<double> pairs = Status::InvalidArgument(
       "histogram files use different schemes");
-  uint64_t n1 = 0;
-  uint64_t n2 = 0;
+  double n1 = 0.0;
+  double n2 = 0.0;
   if (a->gh.has_value() && b->gh.has_value()) {
     pairs = EstimateGhJoinPairs(*a->gh, *b->gh);
     n1 = a->gh->dataset_size();
@@ -857,9 +861,7 @@ int CmdEstimate(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
   // A histogram file records its dataset's rect count, so the answer is
   // bounded as the chain bounds it.
   bool clamped = false;
-  const EstimateOutcome est =
-      ClampPairCount(*pairs, static_cast<double>(n1),
-                     static_cast<double>(n2), &clamped);
+  const EstimateOutcome est = ClampPairCount(*pairs, n1, n2, &clamped);
   std::fprintf(out, "estimated pairs      : %s\n",
                FormatDouble(est.estimated_pairs, 1).c_str());
   if (n1 > 0 && n2 > 0) {

@@ -43,20 +43,20 @@ enum class GhVariant {
 /// Thread-safety: GhHistogram is a value type with no hidden shared state.
 /// Concurrent const access (estimates, accessors, Save) is safe; AddRect /
 /// RemoveRect / Merge are mutations and need external synchronization. The
-/// multi-threaded Build path never shares a histogram between workers — it
-/// records per-chunk contribution lists and replays them on the calling
-/// thread (see docs/ARCHITECTURE.md, "Threading model").
+/// multi-threaded Build path gives each worker whole tiles of grid cells,
+/// which no other worker writes (src/core/tile_build.h; see
+/// docs/ARCHITECTURE.md, "Threading model").
 class GhHistogram {
  public:
   /// Builds the histogram of `ds` on a `level`-deep grid over `extent`.
   /// Every MBR should lie within `extent` (out-of-extent geometry is
   /// clamped by cell ownership and clipped contributions).
   ///
-  /// `threads` > 1 parallelizes the per-MBR geometry (cell ranges, area /
-  /// edge clipping) over fixed-size chunks of the input while the final
-  /// cell accumulation replays every contribution in dataset order on the
-  /// calling thread — the result is bit-identical to the serial build for
-  /// any thread count (asserted by tests/par_determinism_test.cc).
+  /// `threads` > 1 bins the MBRs by 32x32-cell tile and accumulates the
+  /// tiles in parallel. Each tile sees its MBRs in dataset order, so every
+  /// cell sums in the serial order and the result is bit-identical to the
+  /// serial build for any thread count (asserted by
+  /// tests/par_determinism_test.cc).
   /// `threads` <= 1 is the serial path; 0 and negative values mean serial
   /// too, never "auto".
   static Result<GhHistogram> Build(const Dataset& ds, const Rect& extent,

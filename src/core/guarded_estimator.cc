@@ -30,20 +30,23 @@ struct GhSummarySlot {
 
 namespace {
 
-// Span names must be string literals (the tracer keeps the pointer), so
-// each rung gets its own.
-const char* RungSpanName(EstimatorRung rung) {
-  switch (rung) {
-    case EstimatorRung::kGh:
-      return "estimate.rung.gh";
-    case EstimatorRung::kPh:
-      return "estimate.rung.ph";
-    case EstimatorRung::kSampling:
-      return "estimate.rung.sampling";
-    case EstimatorRung::kParametric:
-      return "estimate.rung.parametric";
-  }
-  return "estimate.rung.unknown";
+// Each rung's stable name, trace span and fault site, in chain order.
+// Span names must be string literals (the tracer keeps the pointer).
+struct RungNames {
+  const char* name;
+  const char* span;
+  const char* fault_site;
+};
+constexpr RungNames kRungNames[] = {
+    {"gh", "estimate.rung.gh", kFaultSiteEstimatorGh},
+    {"ph", "estimate.rung.ph", kFaultSiteEstimatorPh},
+    {"sampling", "estimate.rung.sampling", kFaultSiteEstimatorSampling},
+    {"parametric", "estimate.rung.parametric",
+     kFaultSiteEstimatorParametric},
+};
+
+const RungNames& NamesOf(EstimatorRung rung) {
+  return kRungNames[static_cast<int>(rung)];
 }
 
 // Books one rung failure as a labeled counter, e.g.
@@ -53,26 +56,29 @@ void CountRungFailure(EstimatorRung rung, const std::string& cause) {
                    EstimatorRungName(rung) + "." + cause);
 }
 
-const char* RungFaultSite(EstimatorRung rung) {
-  switch (rung) {
-    case EstimatorRung::kGh:
-      return kFaultSiteEstimatorGh;
-    case EstimatorRung::kPh:
-      return kFaultSiteEstimatorPh;
-    case EstimatorRung::kSampling:
-      return kFaultSiteEstimatorSampling;
-    case EstimatorRung::kParametric:
-      return kFaultSiteEstimatorParametric;
-  }
-  return "estimator.unknown";
-}
-
 void AppendReason(std::string* reason, EstimatorRung rung,
                   const std::string& cause) {
   if (!reason->empty()) reason->push_back(';');
   reason->append(EstimatorRungName(rung));
   reason->push_back(':');
   reason->append(cause);
+}
+
+// Answers zero pairs from a pseudo-rung below the chain ("Empty" for an
+// empty input, "Zero" when even the parametric floor tripped), booked as
+// the answering trial.
+void AnswerZero(const char* label, const char* cause, EstimateResult* result) {
+  AppendReason(&result->degradation_reason, EstimatorRung::kParametric, cause);
+  result->rung = EstimatorRung::kParametric;
+  result->rung_label = label;
+  result->outcome = EstimateOutcome{};
+  RungTrial trial;
+  trial.rung = EstimatorRung::kParametric;
+  trial.label = label;
+  trial.answered = true;
+  trial.cause = cause;
+  trial.has_raw_pairs = true;
+  result->trials.push_back(std::move(trial));
 }
 
 // The rung's technique label, e.g. "GH(level=7)" or "RSWR(10%/10%)".
@@ -210,17 +216,7 @@ Result<std::shared_ptr<const GhHistogram>> PreparedInput::GhHistogramOn(
 }
 
 const char* EstimatorRungName(EstimatorRung rung) {
-  switch (rung) {
-    case EstimatorRung::kGh:
-      return "gh";
-    case EstimatorRung::kPh:
-      return "ph";
-    case EstimatorRung::kSampling:
-      return "sampling";
-    case EstimatorRung::kParametric:
-      return "parametric";
-  }
-  return "unknown";
+  return NamesOf(rung).name;
 }
 
 Result<PreparedInput> PrepareInput(const Dataset& dataset,
@@ -234,9 +230,15 @@ Result<PreparedInput> PrepareInput(const Dataset& dataset,
   in.gh_slot = std::make_shared<GhSummarySlot>();
   // The extent comes from finite, well-formed rects only, so a handful of
   // NaN/Inf rects cannot poison the frame the clean ones are judged in.
-  size_t defective = 0;
-  in.extent = WellFormedExtent(dataset, &defective);
-  if (defective == 0) {
+  bool clean = true;
+  for (const Rect& r : dataset.rects()) {
+    if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) {
+      in.extent.Extend(r);
+    } else {
+      clean = false;
+    }
+  }
+  if (clean) {
     in.counters.checked = dataset.size();
     SJSEL_METRIC_ADD("validate.checked", dataset.size());
     return in;
@@ -303,18 +305,7 @@ Result<EstimateResult> GuardedEstimator::Estimate(
   // An input that is empty (or empty after quarantine) joins with nothing;
   // a zero estimate is the correct, finite, in-range answer.
   if (va.empty() || vb.empty()) {
-    result.rung = EstimatorRung::kParametric;
-    result.rung_label = "Empty";
-    AppendReason(&result.degradation_reason, EstimatorRung::kParametric,
-                 kDegradeCauseEmptyInput);
-    RungTrial trial;
-    trial.rung = EstimatorRung::kParametric;
-    trial.label = result.rung_label;
-    trial.answered = true;
-    trial.cause = kDegradeCauseEmptyInput;
-    trial.raw_pairs = 0.0;
-    trial.has_raw_pairs = true;
-    result.trials.push_back(std::move(trial));
+    AnswerZero("Empty", kDegradeCauseEmptyInput, &result);
     return result;
   }
 
@@ -327,7 +318,7 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       EstimatorRung::kGh, EstimatorRung::kPh, EstimatorRung::kSampling,
       EstimatorRung::kParametric};
   for (const EstimatorRung rung : kChain) {
-    SJSEL_TRACE_SPAN(RungSpanName(rung));
+    SJSEL_TRACE_SPAN(NamesOf(rung).span);
     SJSEL_METRIC_INC(std::string("estimator.attempts.") +
                      EstimatorRungName(rung));
     RungTrial trial;
@@ -343,7 +334,7 @@ Result<EstimateResult> GuardedEstimator::Estimate(
       result.trials.push_back(std::move(trial));
     };
     if (FaultInjector::GloballyArmed() &&
-        FaultInjector::Global().ShouldFail(RungFaultSite(rung))) {
+        FaultInjector::Global().ShouldFail(NamesOf(rung).fault_site)) {
       fail(kDegradeCauseInjected);
       continue;
     }
@@ -393,21 +384,9 @@ Result<EstimateResult> GuardedEstimator::Estimate(
 
   // Even the parametric floor tripped (it can only do so on pathological
   // extents). Degrade to the one estimate that is always safe: zero.
-  AppendReason(&result.degradation_reason, EstimatorRung::kParametric,
-               kDegradeCauseFloorZero);
   SJSEL_METRIC_INC("estimator.degraded");
   SJSEL_TRACE_INSTANT("estimator.degraded");
-  result.rung = EstimatorRung::kParametric;
-  result.rung_label = "Zero";
-  result.outcome = EstimateOutcome{};
-  RungTrial floor_trial;
-  floor_trial.rung = EstimatorRung::kParametric;
-  floor_trial.label = result.rung_label;
-  floor_trial.answered = true;
-  floor_trial.cause = kDegradeCauseFloorZero;
-  floor_trial.raw_pairs = 0.0;
-  floor_trial.has_raw_pairs = true;
-  result.trials.push_back(std::move(floor_trial));
+  AnswerZero("Zero", kDegradeCauseFloorZero, &result);
   return result;
 }
 

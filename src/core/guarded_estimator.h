@@ -24,10 +24,10 @@ struct EstimateOutcome {
   double selectivity = 0.0;
 };
 
-/// `raw_pairs` clamped into [0, n1 * n2], the range the pair count of
-/// inputs of n1 and n2 rects lies in, with its selectivity. Sets *clamped
-/// when the clamp moved the value. The chain, the stream estimate and
-/// `estimate` on histogram files all bound their answers through it.
+/// `raw_pairs` clamped into [0, n1 * n2], the range of a pair count of
+/// inputs of n1 and n2 rects, with its selectivity; *clamped tells whether
+/// the clamp moved it. The chain, the stream estimate and `estimate` on
+/// histogram files bound their answers here.
 EstimateOutcome ClampPairCount(double raw_pairs, double n1, double n2,
                                bool* clamped);
 

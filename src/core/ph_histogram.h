@@ -34,9 +34,9 @@ enum class PhVariant {
 ///
 /// Thread-safety: value type, no hidden shared state. Concurrent const
 /// access (estimates, accessors, Save) is safe; AddRect / RemoveRect /
-/// Merge need external synchronization. The multi-threaded Build never
-/// shares a histogram between workers (record-and-replay, identical to the
-/// GH scheme — see docs/ARCHITECTURE.md, "Threading model").
+/// Merge need external synchronization. The multi-threaded Build gives
+/// each worker whole tiles of grid cells, as the GH build does
+/// (src/core/tile_build.h; see docs/ARCHITECTURE.md, "Threading model").
 class PhHistogram {
  public:
   /// Sums kept per cell; averages and ratios are derived at estimate time.
@@ -52,10 +52,10 @@ class PhHistogram {
   };
 
   /// Builds the histogram of `ds` on a `level`-deep grid over `extent`.
-  /// `threads` > 1 parallelizes the per-MBR clipping over fixed-size input
-  /// chunks and replays the recorded contributions in dataset order, so the
-  /// result is bit-identical to the serial build for any thread count;
-  /// `threads` <= 1 is the serial path.
+  /// `threads` > 1 bins the MBRs by tile and accumulates the tiles in
+  /// parallel, each in dataset order, so the result is bit-identical to
+  /// the serial build for any thread count; `threads` <= 1 is the serial
+  /// path.
   static Result<PhHistogram> Build(
       const Dataset& ds, const Rect& extent, int level,
       PhVariant variant = PhVariant::kSplitCrossing, int threads = 1);

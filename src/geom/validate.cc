@@ -89,19 +89,6 @@ RectDefect ClassifyRect(const Rect& r, const Rect& extent) {
   return RectDefect::kNone;
 }
 
-Rect WellFormedExtent(const Dataset& ds, size_t* defective) {
-  Rect extent = Rect::Empty();
-  *defective = 0;
-  for (const Rect& r : ds.rects()) {
-    if (ClassifyRect(r, Rect::Empty()) == RectDefect::kNone) {
-      extent.Extend(r);
-    } else {
-      ++*defective;
-    }
-  }
-  return extent;
-}
-
 void RobustnessCounters::Merge(const RobustnessCounters& other) {
   checked += other.checked;
   non_finite += other.non_finite;

@@ -41,12 +41,6 @@ enum class RectDefect : uint8_t {
 /// containment check — structural validation only.
 RectDefect ClassifyRect(const Rect& r, const Rect& extent);
 
-/// Bounding box of the rects of `ds` that ClassifyRect finds well formed
-/// (finite, not inverted): the frame estimates grid a dataset on, which a
-/// NaN or inverted rect cannot poison. *defective receives the count of
-/// the other rects.
-Rect WellFormedExtent(const Dataset& ds, size_t* defective);
-
 /// Tallies of what a validation pass saw and did. Surfaced through
 /// EstimateResult so callers of the guarded estimator can see how much of
 /// the input was repaired or dropped before the estimate they are trusting.

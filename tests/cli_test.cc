@@ -546,69 +546,28 @@ TEST(CliTest, HistBuildValidatePolicyFlag) {
   std::remove(gh.c_str());
 }
 
-// Saves a dataset of `rects` under `name` and returns its path.
-std::string SaveRects(const std::string& name, const std::vector<Rect>& rects) {
-  const std::string path = TempPath(name + ".ds");
-  EXPECT_TRUE(Dataset(name, rects).Save(path).ok());
-  return path;
-}
-
-TEST(CliTest, HistogramEstimateIsClampedLikeEstimate) {
-  // One rect per file: the raw GH estimate of two equal rects is 4 and the
-  // raw PH estimate of two overlapping ones 1.03, but one rect joins one
-  // rect at most once.
-  const std::string a = SaveRects("cli_clamp_a", {Rect(0.1, 0.1, 0.3, 0.3)});
-  const std::string b = SaveRects("cli_clamp_b", {Rect(0.1, 0.1, 0.3, 0.3)});
-  const std::string c = SaveRects("cli_clamp_c", {Rect(0.1, 0.1, 0.2, 0.2)});
-  const std::string d =
-      SaveRects("cli_clamp_d", {Rect(0.15, 0.15, 0.25, 0.25)});
-  const std::string hist[] = {TempPath("cli_clamp_a.gh"),
-                              TempPath("cli_clamp_b.gh"),
-                              TempPath("cli_clamp_c.ph"),
-                              TempPath("cli_clamp_d.ph")};
-  ASSERT_EQ(RunTool({"hist-build", a, hist[0]}).code, 0);
-  ASSERT_EQ(RunTool({"hist-build", b, hist[1]}).code, 0);
-  for (int i : {2, 3}) {
-    ASSERT_EQ(RunTool({"hist-build", i == 2 ? c : d, hist[i], "--scheme=ph",
-                       "--level=5", "--extent=0,0,1,1"})
-                  .code,
-              0);
-  }
-  const std::string clamped =
-      "estimated pairs      : 1.0\n"
-      "estimated selectivity: 1.000000\n"
-      "clamped              : yes\n";
-  EXPECT_EQ(RunTool({"estimate", hist[0], hist[1]}).out, clamped);
-  EXPECT_EQ(RunTool({"estimate", hist[2], hist[3]}).out, clamped);
-  for (const std::string& p : {a, b, c, d}) std::remove(p.c_str());
-  for (const std::string& p : hist) std::remove(p.c_str());
-}
-
 TEST(CliTest, HistBuildLeavesNonFiniteRectsOutOfTheGrid) {
   // A NaN first rect used to set the default extent to [nan,0.5]x[0.1,0.5]
   // and, under --validate, push both clean rects out of it.
-  const std::string ds = SaveRects(
-      "cli_nan_first",
-      {Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2),
-       Rect(0.1, 0.1, 0.3, 0.3), Rect(0.2, 0.2, 0.5, 0.5)});
+  const std::string ds = TempPath("cli_nan_first.ds");
   const std::string gh = TempPath("cli_nan_first.gh");
-  for (const bool validate : {false, true}) {
-    std::vector<std::string> args = {"hist-build", ds, gh};
-    if (validate) args.push_back("--validate=quarantine");
-    CliResult r = RunTool(args);
-    EXPECT_EQ(r.code, 0) << r.err;
-    EXPECT_NE(r.out.find("for 2 rects"), std::string::npos) << r.out;
-    if (validate) {
-      EXPECT_NE(r.out.find("non_finite=1 inverted=0 out_of_extent=0 "
-                           "clamped=0 quarantined=1"),
-                std::string::npos)
-          << r.out;
-    }
-    r = RunTool({"hist-info", gh});
-    EXPECT_NE(r.out.find("(2 rects)"), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("extent   : [0.1,0.5]x[0.1,0.5]"), std::string::npos)
-        << r.out;
-  }
+  ASSERT_TRUE(Dataset("nan_first",
+                      {Rect(std::numeric_limits<double>::quiet_NaN(), 0.1,
+                            0.2, 0.2),
+                       Rect(0.1, 0.1, 0.3, 0.3), Rect(0.2, 0.2, 0.5, 0.5)})
+                  .Save(ds)
+                  .ok());
+  CliResult r = RunTool({"hist-build", ds, gh});
+  EXPECT_NE(r.out.find("for 2 rects"), std::string::npos) << r.out;
+  r = RunTool({"hist-info", gh});
+  EXPECT_NE(r.out.find("extent   : [0.1,0.5]x[0.1,0.5]"), std::string::npos)
+      << r.out;
+  r = RunTool({"hist-build", ds, gh, "--validate=quarantine"});
+  EXPECT_NE(r.out.find("non_finite=1 inverted=0 out_of_extent=0 clamped=0 "
+                       "quarantined=1"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("for 2 rects"), std::string::npos) << r.out;
   std::remove(ds.c_str());
   std::remove(gh.c_str());
 }
@@ -743,6 +702,17 @@ TEST(CliTest, IngestEstimateIsClampedLikeEstimate) {
       << r.out;
   EXPECT_NE(r.out.find("clamped              : yes"), std::string::npos)
       << r.out;
+  // So is `estimate` on two histogram files, whose raw GH and PH answer
+  // is 4 as well.
+  for (const std::string scheme : {"gh", "ph"}) {
+    const std::string hist = TempPath("cli_one_rect." + scheme);
+    ASSERT_EQ(RunTool({"hist-build", path, hist, "--scheme=" + scheme}).code,
+              0);
+    EXPECT_EQ(RunTool({"estimate", hist, hist}).out,
+              "estimated pairs      : 1.0\nestimated selectivity: 1.000000\n"
+              "clamped              : yes\n");
+    std::remove(hist.c_str());
+  }
   RemoveStream(dir);
   std::remove(path.c_str());
 }

@@ -1,7 +1,7 @@
 // Each estimation technique as the guarded chain runs it: the chain is
 // forced one rung further down per step with fault injection, so every
-// rung answers once on the same pair. Techniques outside the chain
-// (MinSkew) and the GH level advisor are checked through their modules.
+// rung answers once on the same pair. The GH level advisor is checked
+// through its module.
 
 #include "core/guarded_estimator.h"
 
@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/gh_histogram.h"
-#include "core/minskew.h"
 #include "core/sampling.h"
 #include "datagen/generators.h"
 #include "join/nested_loop.h"
@@ -37,51 +36,18 @@ Dataset MakeClustered(size_t n, uint64_t seed) {
                                    seed);
 }
 
-// Fault specs that skip every rung above the indexed one, so rung i of
-// the chain answers.
-const char* const kSkipAbove[] = {
-    nullptr,
-    "estimator.gh=always",
-    "estimator.gh=always,estimator.ph=always",
-    "estimator.gh=always,estimator.ph=always,estimator.sampling=always",
-};
-
-// The chain's answer with every rung above `rung` skipped.
-EstimateResult EstimateAtRung(EstimatorRung rung,
-                              const GuardedEstimatorOptions& options,
-                              const Dataset& a, const Dataset& b) {
-  std::optional<ScopedFaultInjection> arm;
-  if (const char* spec = kSkipAbove[static_cast<int>(rung)]) {
-    arm.emplace(spec);
-    EXPECT_TRUE(arm->status().ok());
+// Skips the chain's rungs above `answering` with fault injection.
+std::optional<ScopedFaultInjection> SkipRungsAbove(EstimatorRung answering) {
+  std::string spec;
+  for (int i = 0; i < static_cast<int>(answering); ++i) {
+    spec += std::string(spec.empty() ? "" : ",") + "estimator." +
+            EstimatorRungName(static_cast<EstimatorRung>(i)) + "=always";
   }
-  const auto result = GuardedEstimator(options).Estimate(a, b);
-  if (!result.ok()) {
-    ADD_FAILURE() << result.status().ToString();
-    return {};
-  }
-  EXPECT_EQ(result->rung, rung) << result->degradation_reason;
-  return *result;
+  if (spec.empty()) return std::nullopt;
+  return std::optional<ScopedFaultInjection>(std::in_place, spec);
 }
 
-constexpr EstimatorRung kRungs[] = {EstimatorRung::kGh, EstimatorRung::kPh,
-                                    EstimatorRung::kSampling,
-                                    EstimatorRung::kParametric};
-
-TEST(ChainRungTest, LabelsIdentifyTechniques) {
-  const Dataset a = MakeUniform(300, 21);
-  const Dataset b = MakeUniform(300, 22);
-  GuardedEstimatorOptions options;
-  options.sampling.frac_b = 0.01;
-  const char* const kLabels[] = {"GH(level=7)", "PH(level=5)", "RSWR(10%/1%)",
-                                 "Parametric[AS94]"};
-  for (const EstimatorRung rung : kRungs) {
-    EXPECT_EQ(EstimateAtRung(rung, options, a, b).rung_label,
-              kLabels[static_cast<int>(rung)]);
-  }
-}
-
-TEST(ChainRungTest, EveryRungGivesAFiniteEstimateNearExact) {
+TEST(ChainRungTest, EveryRungGivesALabeledFiniteEstimateNearExact) {
   const Dataset a = MakeUniform(1500, 31);
   const Dataset b = MakeClustered(1500, 32);
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
@@ -92,17 +58,23 @@ TEST(ChainRungTest, EveryRungGivesAFiniteEstimateNearExact) {
   options.ph_level = 4;
   options.sampling.frac_a = 0.2;
   options.sampling.frac_b = 0.2;
-  for (const EstimatorRung rung : kRungs) {
-    const EstimateResult result = EstimateAtRung(rung, options, a, b);
-    const std::string label = result.rung_label;
-    EXPECT_GE(result.outcome.estimated_pairs, 0.0) << label;
-    EXPECT_TRUE(std::isfinite(result.outcome.estimated_pairs)) << label;
-    EXPECT_NEAR(result.outcome.selectivity,
-                result.outcome.estimated_pairs / (1500.0 * 1500.0), 1e-12)
+  const char* const kLabels[] = {"GH(level=6)", "PH(level=4)",
+                                 "RSWR(20%/20%)", "Parametric[AS94]"};
+  for (int i = 0; i < 4; ++i) {
+    const auto skip = SkipRungsAbove(static_cast<EstimatorRung>(i));
+    const auto result = GuardedEstimator(options).Estimate(a, b);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string label = kLabels[i];
+    EXPECT_EQ(result->rung, static_cast<EstimatorRung>(i)) << label;
+    EXPECT_EQ(result->rung_label, label);
+    EXPECT_GE(result->outcome.estimated_pairs, 0.0) << label;
+    EXPECT_TRUE(std::isfinite(result->outcome.estimated_pairs)) << label;
+    EXPECT_NEAR(result->outcome.selectivity,
+                result->outcome.estimated_pairs / (1500.0 * 1500.0), 1e-12)
         << label;
     // Every technique should be within an order of magnitude here; GH
     // should be tight.
-    EXPECT_LT(RelativeError(result.outcome.estimated_pairs, actual), 3.0)
+    EXPECT_LT(RelativeError(result->outcome.estimated_pairs, actual), 3.0)
         << label;
   }
 }
@@ -112,14 +84,16 @@ TEST(ChainRungTest, GhIsMoreAccurateThanParametricOnSkewedData) {
   const Dataset b = MakeClustered(2500, 42);
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
   ASSERT_GT(actual, 0.0);
-  const GuardedEstimatorOptions options;
-  const double gh_err = RelativeError(
-      EstimateAtRung(EstimatorRung::kGh, options, a, b).outcome.estimated_pairs,
-      actual);
-  const double par_err = RelativeError(
-      EstimateAtRung(EstimatorRung::kParametric, options, a, b)
-          .outcome.estimated_pairs,
-      actual);
+  const auto gh = GuardedEstimator().Estimate(a, b);
+  ASSERT_TRUE(gh.ok());
+  ASSERT_EQ(gh->rung, EstimatorRung::kGh);
+  const auto skip = SkipRungsAbove(EstimatorRung::kParametric);
+  const auto parametric = GuardedEstimator().Estimate(a, b);
+  ASSERT_TRUE(parametric.ok());
+  ASSERT_EQ(parametric->rung, EstimatorRung::kParametric);
+  const double gh_err = RelativeError(gh->outcome.estimated_pairs, actual);
+  const double par_err =
+      RelativeError(parametric->outcome.estimated_pairs, actual);
   EXPECT_LT(gh_err, 0.10);
   EXPECT_LT(gh_err, par_err);
 }
@@ -128,20 +102,6 @@ TEST(ChainRungTest, SamplingRejectsAnEmptyInput) {
   const Dataset a = MakeUniform(100, 51);
   const Dataset empty("empty");
   EXPECT_FALSE(EstimateBySampling(empty, a, SamplingOptions{}).ok());
-}
-
-TEST(MinSkewEstimateTest, WithinThirtyPercentOfExact) {
-  const Dataset a = MakeClustered(1500, 71);
-  const Dataset b = MakeUniform(1500, 72);
-  const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
-  Rect extent = a.ComputeExtent();
-  extent.Extend(b.ComputeExtent());
-  const auto ha = MinSkewHistogram::Build(a, extent, 256);
-  const auto hb = MinSkewHistogram::Build(b, extent, 256);
-  ASSERT_TRUE(ha.ok() && hb.ok());
-  const auto pairs = EstimateMinSkewJoinPairs(*ha, *hb);
-  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-  EXPECT_LT(RelativeError(*pairs, actual), 0.30);
 }
 
 TEST(RecommendGhLevelTest, EdgeCases) {

@@ -54,19 +54,13 @@ class PlannerTest : public ::testing::Test {
   std::vector<Dataset> datasets_;
 };
 
-// 3,000 uniform rects followed by 600 NaN rects.
-Dataset UniformWithNanTail() {
-  Dataset ds = MakeUniform("u_nan", 3000, 3);
-  for (int i = 0; i < 600; ++i) {
-    ds.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2));
-  }
-  return ds;
-}
-
 TEST(PlannerSizesTest, TwoWayCardinalityIsThePairEstimateOnValidatedSizes) {
-  // The selectivity divides by the validated sizes, so the plan must
-  // multiply it by them too, not by the raw 3,600.
-  const Dataset a = UniformWithNanTail();
+  // 600 NaN rects after 3,000 uniform ones: the selectivity divides by the
+  // validated 3,000, so the plan must multiply it by 3,000 too.
+  Dataset a = MakeUniform("u_nan", 3000, 3);
+  for (int i = 0; i < 600; ++i) {
+    a.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2));
+  }
   const Dataset b = MakeClustered("c", 3000, 4);
   const auto plan =
       PlanMultiJoin({PlannerInput{"a.ds", &a}, PlannerInput{"b.ds", &b}});

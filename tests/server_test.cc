@@ -192,25 +192,25 @@ TEST_F(ServerTest, TwoWayPlanCardinalityIsThePairEstimateOnValidatedSizes) {
   for (int i = 0; i < 600; ++i) {
     dirty.Add(Rect(std::numeric_limits<double>::quiet_NaN(), 0.1, 0.2, 0.2));
   }
+  gen::SizeDist size{gen::SizeDist::Kind::kUniform, 0.005, 0.005, 0.5};
+  const Dataset clustered = gen::GaussianClusterRects(
+      "c", 3000, Rect(0, 0, 1, 1), {{0.4, 0.7}, 0.1, 0.1, 1.0}, size, 4);
   const std::string dirty_path = ::testing::TempDir() + "/server_nan.ds";
   const std::string other_path = ::testing::TempDir() + "/server_cl.ds";
-  ASSERT_TRUE(dirty.Save(dirty_path).ok());
-  gen::SizeDist size{gen::SizeDist::Kind::kUniform, 0.005, 0.005, 0.5};
-  ASSERT_TRUE(gen::GaussianClusterRects("c", 3000, Rect(0, 0, 1, 1),
-                                        {{0.4, 0.7}, 0.1, 0.1, 1.0}, size, 4)
-                  .Save(other_path)
-                  .ok());
+  ASSERT_TRUE(dirty.Save(dirty_path).ok() && clustered.Save(other_path).ok());
   Server server(ServerOptions{});
   const JsonValue response =
       Handle(&server, R"({"op":"plan","paths":[")" + dirty_path + R"(",")" +
                           other_path + R"("]})");
+  std::remove(dirty_path.c_str());
+  std::remove(other_path.c_str());
   ASSERT_TRUE(response.Find("ok")->bool_value()) << ErrorCode(response);
   const JsonValue* plan = response.Find("result")->Find("plan");
   EXPECT_EQ(plan->Find("inputs")->at(0).Find("n")->number_value(), 3000.0);
-  EXPECT_EQ(plan->Find("steps")->at(0).Find("output_cardinality")->number_value(),
-            plan->Find("pairs")->at(0).Find("estimated_pairs")->number_value());
-  std::remove(dirty_path.c_str());
-  std::remove(other_path.c_str());
+  const JsonValue& pair = plan->Find("pairs")->at(0);
+  const JsonValue& step = plan->Find("steps")->at(0);
+  EXPECT_EQ(step.Find("output_cardinality")->number_value(),
+            pair.Find("estimated_pairs")->number_value());
 }
 
 TEST_F(ServerTest, RepeatedPlanIsAnsweredFromThePairCache) {
