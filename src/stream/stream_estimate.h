@@ -29,10 +29,10 @@ Result<GhHistogram> BuildOnStreamGrid(const GhHistogram& stream_gh,
 /// the stream's GH histogram: a snapshot's, or MaterializeState()'s. It is
 /// combined with `b_gh`, BuildOnStreamGrid(stream_gh, b), and the answer
 /// is clamped into [0, N1 * N2], where N1 is the stream's rect count and
-/// N2 the count of b's validated rects. Under
-/// kReject a defective `b` fails earlier, in PrepareInput, with the error
-/// `estimate` gives. The server's `stream_estimate` op, its audit and
-/// `sjsel ingest --estimate` all answer through this function.
+/// N2 the count of b's validated rects. Under kReject a defective `b`
+/// fails earlier, in PrepareInput, with the error `estimate` gives. The
+/// server's `stream_estimate` op, its audit and `sjsel ingest --estimate`
+/// all answer through this function.
 Result<StreamJoinEstimate> EstimateStreamJoin(const GhHistogram& stream_gh,
                                               const PreparedInput& b,
                                               const GhHistogram& b_gh);

@@ -53,16 +53,12 @@ TEST(ChainRungTest, EveryRungGivesALabeledFiniteEstimateNearExact) {
   const double actual = static_cast<double>(NestedLoopJoinCount(a, b));
   ASSERT_GT(actual, 0.0);
 
-  GuardedEstimatorOptions options;
-  options.gh_level = 6;
-  options.ph_level = 4;
-  options.sampling.frac_a = 0.2;
-  options.sampling.frac_b = 0.2;
-  const char* const kLabels[] = {"GH(level=6)", "PH(level=4)",
-                                 "RSWR(20%/20%)", "Parametric[AS94]"};
+  // The labels of the default options, which every served answer carries.
+  const char* const kLabels[] = {"GH(level=7)", "PH(level=5)",
+                                 "RSWR(10%/10%)", "Parametric[AS94]"};
   for (int i = 0; i < 4; ++i) {
     const auto skip = SkipRungsAbove(static_cast<EstimatorRung>(i));
-    const auto result = GuardedEstimator(options).Estimate(a, b);
+    const auto result = GuardedEstimator().Estimate(a, b);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const std::string label = kLabels[i];
     EXPECT_EQ(result->rung, static_cast<EstimatorRung>(i)) << label;
