@@ -547,8 +547,8 @@ TEST(CliTest, HistBuildValidatePolicyFlag) {
 }
 
 TEST(CliTest, HistBuildLeavesNonFiniteRectsOutOfTheGrid) {
-  // A NaN first rect used to set the default extent to [nan,0.5]x[0.1,0.5]
-  // and, under --validate, push both clean rects out of it.
+  // A NaN first rect must neither reach the default extent nor, under
+  // --validate, push the clean rects out of it.
   const std::string ds = TempPath("cli_nan_first.ds");
   const std::string gh = TempPath("cli_nan_first.gh");
   ASSERT_TRUE(Dataset("nan_first",
