@@ -74,8 +74,10 @@ struct PlannerInput {
 struct MultiJoinPlan {
   /// Input labels in caller order (what pair indices refer to).
   std::vector<std::string> inputs;
-  /// Each input's validated rect count, the N its pairs' selectivities
-  /// divide by (taken from the first pair the input is in).
+  /// Each input's validated rect count, taken from the first pair the
+  /// input is in. That is the N every pair's selectivity divides by,
+  /// except under clamp with inverted rects, where a pair re-validates
+  /// each side against its own frame and the count can differ by pair.
   std::vector<size_t> input_sizes;
   /// All k*(k-1)/2 pairs, ordered by (i, j).
   std::vector<PairSelectivity> pairs;

@@ -75,6 +75,24 @@ TEST(ChainRungTest, EveryRungGivesALabeledFiniteEstimateNearExact) {
   }
 }
 
+TEST(ChainRungTest, LabelsFollowTheOptions) {
+  const Dataset a = MakeUniform(1500, 31);
+  const Dataset b = MakeClustered(1500, 32);
+  GuardedEstimatorOptions options;
+  options.gh_level = 6;
+  options.ph_level = 4;
+  options.sampling.frac_b = 0.01;
+  const char* const kLabels[] = {"GH(level=6)", "PH(level=4)",
+                                 "RSWR(10%/1%)"};
+  for (int i = 0; i < 3; ++i) {
+    const auto skip = SkipRungsAbove(static_cast<EstimatorRung>(i));
+    const auto result = GuardedEstimator(options).Estimate(a, b);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rung, static_cast<EstimatorRung>(i)) << kLabels[i];
+    EXPECT_EQ(result->rung_label, kLabels[i]);
+  }
+}
+
 TEST(ChainRungTest, GhIsMoreAccurateThanParametricOnSkewedData) {
   const Dataset a = MakeClustered(2500, 41);
   const Dataset b = MakeClustered(2500, 42);

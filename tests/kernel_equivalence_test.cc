@@ -3,8 +3,8 @@
 // not approximately equal, EQ on the bits — both at the kernel level (lane
 // by lane) and composed through the histogram builds, join filters and the
 // sampling estimator at several thread counts. This is the contract that
-// lets the SoA fast paths slot under the record-and-replay determinism
-// scheme (docs/ARCHITECTURE.md, "Data-level parallelism").
+// lets the SoA fast paths slot under the tile-parallel builds
+// (src/core/tile_build.h; docs/ARCHITECTURE.md, "Data-level parallelism").
 //
 // Backend matrix: each lane test diffs the scalar kernel against the AVX2
 // backend where this machine can run it; CI additionally forces
