@@ -12,11 +12,4 @@ double ParametricJoinPairs(const DatasetStats& s1, const DatasetStats& s2) {
              s1.extent_area;
 }
 
-double ParametricJoinSelectivity(const DatasetStats& s1,
-                                 const DatasetStats& s2) {
-  if (s1.n == 0 || s2.n == 0) return 0.0;
-  return ParametricJoinPairs(s1, s2) /
-         (static_cast<double>(s1.n) * static_cast<double>(s2.n));
-}
-
 }  // namespace sjsel

@@ -15,10 +15,6 @@ namespace sjsel {
 /// exactly what PH degenerates to at gridding level 0.
 double ParametricJoinPairs(const DatasetStats& s1, const DatasetStats& s2);
 
-/// Equation 2: Size / (N1 * N2). Returns 0 for empty inputs.
-double ParametricJoinSelectivity(const DatasetStats& s1,
-                                 const DatasetStats& s2);
-
 }  // namespace sjsel
 
 #endif  // SJSEL_CORE_PARAMETRIC_H_

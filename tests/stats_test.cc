@@ -61,7 +61,6 @@ TEST(ParametricTest, HandComputedEquationOne) {
   const double expected =
       1 * 0.08 + 0.02 * 1 + 1 * 1 * (0.2 * 0.2 + 0.4 * 0.1) / 1.0;
   EXPECT_NEAR(ParametricJoinPairs(sa, sb), expected, 1e-12);
-  EXPECT_NEAR(ParametricJoinSelectivity(sa, sb), expected, 1e-12);
 }
 
 TEST(ParametricTest, SymmetricInArguments) {
@@ -82,7 +81,8 @@ TEST(ParametricTest, EmptyInputsGiveZero) {
   Dataset a("a");
   a.Add(Rect(0, 0, 1, 1));
   const DatasetStats sa = DatasetStats::Compute(a, extent);
-  EXPECT_DOUBLE_EQ(ParametricJoinSelectivity(e, sa), 0.0);
+  EXPECT_DOUBLE_EQ(ParametricJoinPairs(e, sa), 0.0);
+  EXPECT_DOUBLE_EQ(ParametricJoinPairs(sa, e), 0.0);
 }
 
 TEST(ParametricTest, ExactForUniformIndependentRects) {
