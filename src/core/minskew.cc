@@ -64,6 +64,18 @@ double ProbWithin(double a1, double b1, double a2, double b2, double t) {
 
 namespace {
 
+// True when ProbWithin(a1, b1, a2, b2, t) is exactly 0.0 for every
+// t <= reach: both intervals have positive length, and [a2, b2] starts
+// right of b1 + reach or ends left of a1 - reach (b2 + reach < a1). A
+// negative t returns 0 outright. Otherwise ProbWithin's two
+// AreaBelowDiagonal calls return the same value: 0 on the right, where
+// the integrand is 0 at every breakpoint; on the left the full area, where
+// every breakpoint clamps to a1 and the integrand is b2 - a2 throughout.
+bool FarApart(double a1, double b1, double a2, double b2, double reach) {
+  return b1 - a1 > 0.0 && b2 - a2 > 0.0 &&
+         (a2 > b1 + reach || b2 + reach < a1);
+}
+
 constexpr uint32_t kMinSkewMagic = 0x534d534b;  // "SMSK"
 // v2: shared checked envelope (format-version byte + CRC verified before
 // any field parse); v1 carried a u32 version and a trailing CRC check.
@@ -260,11 +272,33 @@ Result<double> EstimateMinSkewJoinPairs(const MinSkewHistogram& a,
     return Status::InvalidArgument(
         "MinSkew histograms built on different extents cannot be combined");
   }
+  // A pair whose ranges are far apart on an axis adds nothing: on x its
+  // px is exactly 0.0, which the loop skips; on y its py is exactly 0.0,
+  // so a finite weight times py adds +0, and adding +0 to `pairs` (which
+  // starts at +0) changes no bit. The reach on each axis bounds every
+  // pair's half-extent sum with p, in floating point too, since rounding
+  // is monotone. The skips stay off when an average extent of b is NaN,
+  // which the max would pass over.
+  bool skip = true;
+  double max_w = 0.0;
+  double max_h = 0.0;
+  for (const auto& q : b.buckets()) {
+    if (q.n <= 0.0) continue;
+    skip = skip && !std::isnan(q.avg_w) && !std::isnan(q.avg_h);
+    max_w = std::max(max_w, q.avg_w);
+    max_h = std::max(max_h, q.avg_h);
+  }
   double pairs = 0.0;
   for (const auto& p : a.buckets()) {
     if (p.n <= 0.0) continue;
+    const double reach_x = (p.avg_w + max_w) / 2.0;
+    const double reach_y = (p.avg_h + max_h) / 2.0;
     for (const auto& q : b.buckets()) {
       if (q.n <= 0.0) continue;
+      if (skip && FarApart(p.rect.min_x, p.rect.max_x, q.rect.min_x,
+                           q.rect.max_x, reach_x)) {
+        continue;
+      }
       // Two rects intersect iff their centers are within the half-extent
       // sum on both axes.
       const double tx = (p.avg_w + q.avg_w) / 2.0;
@@ -272,9 +306,15 @@ Result<double> EstimateMinSkewJoinPairs(const MinSkewHistogram& a,
       const double px = internal::ProbWithin(p.rect.min_x, p.rect.max_x,
                                              q.rect.min_x, q.rect.max_x, tx);
       if (px == 0.0) continue;
+      const double weight = p.n * q.n * px;
+      if (skip && std::isfinite(weight) &&
+          FarApart(p.rect.min_y, p.rect.max_y, q.rect.min_y, q.rect.max_y,
+                   reach_y)) {
+        continue;
+      }
       const double py = internal::ProbWithin(p.rect.min_y, p.rect.max_y,
                                              q.rect.min_y, q.rect.max_y, ty);
-      pairs += p.n * q.n * px * py;
+      pairs += weight * py;
     }
   }
   return pairs;

@@ -8,6 +8,9 @@
 #include <cmath>
 
 #include <cstdio>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/gh_histogram.h"
 #include "datagen/generators.h"
@@ -153,6 +156,64 @@ TEST(MinSkewEstimateTest, SkewedJoinImprovesWithBuckets) {
   }
   EXPECT_LT(err_many, err_few);
   EXPECT_LT(err_many, 0.30);
+}
+
+// The combine as it read before it skipped far-apart bucket pairs: every
+// pair visited, in ascending (p, q) order.
+double EveryPairSum(const MinSkewHistogram& a, const MinSkewHistogram& b) {
+  double pairs = 0.0;
+  for (const auto& p : a.buckets()) {
+    if (p.n <= 0.0) continue;
+    for (const auto& q : b.buckets()) {
+      if (q.n <= 0.0) continue;
+      const double tx = (p.avg_w + q.avg_w) / 2.0;
+      const double ty = (p.avg_h + q.avg_h) / 2.0;
+      const double px = internal::ProbWithin(p.rect.min_x, p.rect.max_x,
+                                             q.rect.min_x, q.rect.max_x, tx);
+      if (px == 0.0) continue;
+      const double py = internal::ProbWithin(p.rect.min_y, p.rect.max_y,
+                                             q.rect.min_y, q.rect.max_y, ty);
+      pairs += p.n * q.n * px * py;
+    }
+  }
+  return pairs;
+}
+
+TEST(MinSkewEstimateTest, SkippingFarPairsIsBitIdentical) {
+  // Clustered, uniform, wide and degenerate (points, segments) inputs,
+  // both orders, from a few buckets to many.
+  const auto points = [](size_t n, uint64_t seed) {
+    return gen::UniformRects(
+        "pts", n, kUnit, {gen::SizeDist::Kind::kFixed, 0.0, 0.0, 0.0}, seed);
+  };
+  const auto wide = [](size_t n, uint64_t seed) {
+    return gen::UniformRects(
+        "wide", n, kUnit, {gen::SizeDist::Kind::kExponential, 0.1, 0.01, 0.0},
+        seed);
+  };
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<Dataset> inputs = {
+        MakeClustered(1500, seed), MakeUniform(1200, seed + 10),
+        wide(800, seed + 20), points(900, seed + 30)};
+    for (const int buckets : {8, 64, 400}) {
+      std::vector<MinSkewHistogram> hists;
+      for (const Dataset& ds : inputs) {
+        auto hist = MinSkewHistogram::Build(ds, kUnit, buckets);
+        ASSERT_TRUE(hist.ok());
+        hists.push_back(std::move(hist).value());
+      }
+      for (const MinSkewHistogram& a : hists) {
+        for (const MinSkewHistogram& b : hists) {
+          const double got = EstimateMinSkewJoinPairs(a, b).value();
+          const double want = EveryPairSum(a, b);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << a.dataset_name() << " x " << b.dataset_name() << " seed "
+              << seed << " buckets " << buckets << ": " << got << " vs "
+              << want;
+        }
+      }
+    }
+  }
 }
 
 TEST(MinSkewEstimateTest, MismatchedExtentsRejected) {
