@@ -1310,12 +1310,13 @@ int CmdIngest(const ParsedArgs& args, std::FILE* out, std::FILE* err) {
       return 1;
     }
     const auto snap = ingest.snapshot();
-    const auto bh = stream::BuildOnStreamGrid(snap->gh, *prepared);
+    const auto bh = prepared->GhHistogramOn(snap->gh.grid().extent(),
+                                            snap->gh.grid().level());
     if (!bh.ok()) {
       std::fprintf(err, "%s\n", bh.status().ToString().c_str());
       return 1;
     }
-    const auto est = stream::EstimateStreamJoin(snap->gh, *prepared, *bh);
+    const auto est = stream::EstimateStreamJoin(snap->gh, *prepared, **bh);
     if (!est.ok()) {
       std::fprintf(err, "%s\n", est.status().ToString().c_str());
       return 1;

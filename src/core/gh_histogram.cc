@@ -1,7 +1,9 @@
 #include "core/gh_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "core/kernels.h"
 #include "core/tile_build.h"
@@ -19,6 +21,19 @@ constexpr uint32_t kGhMagic = 0x53474847;  // "SGHG"
 // v3: shared checked envelope (format-version byte + CRC verified before
 // any field parse); v2 carried a u32 version and a trailing CRC check.
 constexpr uint8_t kGhVersion = 3;
+
+// In-memory bytes of one cell: four doubles dense; a u32 flat index and
+// four doubles sparse.
+constexpr uint64_t kDenseCellBytes = 4 * 8;
+constexpr uint64_t kSparseCellBytes = 4 + 4 * 8;
+
+// True when all four statistics are +0.0 bit for bit: the cells a sparse
+// histogram leaves out. A -0.0 statistic keeps its cell, so a sparse
+// histogram expands back to its dense arrays exactly.
+bool AllPositiveZero(double c, double o, double h, double v) {
+  return (std::bit_cast<uint64_t>(c) | std::bit_cast<uint64_t>(o) |
+          std::bit_cast<uint64_t>(h) | std::bit_cast<uint64_t>(v)) == 0;
+}
 
 }  // namespace
 
@@ -472,6 +487,9 @@ void GhHistogram::RemoveRect(const Rect& r) {
 }
 
 Status GhHistogram::Merge(const GhHistogram& other) {
+  if (sparse_ || other.sparse_) {
+    return Status::InvalidArgument("cannot merge sparse GH histograms");
+  }
   if (!grid_.CompatibleWith(other.grid_)) {
     return Status::InvalidArgument(
         "cannot merge GH histograms built on different grids");
@@ -488,6 +506,58 @@ Status GhHistogram::Merge(const GhHistogram& other) {
   }
   n_ += other.n_;
   return Status::OK();
+}
+
+std::shared_ptr<const GhHistogram> GhHistogram::Compact(GhHistogram hist) {
+  if (!hist.sparse_) {
+    const size_t cells = hist.c_.size();
+    size_t stored = 0;
+    for (size_t i = 0; i < cells; ++i) {
+      stored += !AllPositiveZero(hist.c_[i], hist.o_[i], hist.h_[i],
+                                 hist.v_[i]);
+    }
+    if (stored * kSparseCellBytes < cells * kDenseCellBytes) {
+      std::vector<uint32_t> idx;
+      std::vector<double> c, o, h, v;
+      idx.reserve(stored);
+      c.reserve(stored);
+      o.reserve(stored);
+      h.reserve(stored);
+      v.reserve(stored);
+      for (size_t i = 0; i < cells; ++i) {
+        if (AllPositiveZero(hist.c_[i], hist.o_[i], hist.h_[i], hist.v_[i])) {
+          continue;
+        }
+        idx.push_back(static_cast<uint32_t>(i));
+        c.push_back(hist.c_[i]);
+        o.push_back(hist.o_[i]);
+        h.push_back(hist.h_[i]);
+        v.push_back(hist.v_[i]);
+      }
+      hist.stored_ = std::move(idx);
+      hist.c_ = std::move(c);
+      hist.o_ = std::move(o);
+      hist.h_ = std::move(h);
+      hist.v_ = std::move(v);
+      hist.sparse_ = true;
+    }
+  }
+  return std::make_shared<const GhHistogram>(std::move(hist));
+}
+
+GhCellStats GhHistogram::Cell(int64_t i) const {
+  size_t k = static_cast<size_t>(i);
+  if (sparse_) {
+    const auto it = std::lower_bound(stored_.begin(), stored_.end(),
+                                     static_cast<uint32_t>(i));
+    if (it == stored_.end() || *it != static_cast<uint32_t>(i)) return {};
+    k = static_cast<size_t>(it - stored_.begin());
+  }
+  return {c_[k], o_[k], h_[k], v_[k]};
+}
+
+uint64_t GhHistogram::StoredBytes() const {
+  return sparse_ ? stored_.size() * kSparseCellBytes : NominalBytes();
 }
 
 Result<GhHistogram> GhHistogram::Build(const Dataset& ds, const Rect& extent,
@@ -570,14 +640,62 @@ Status CheckGhCombinable(const GhHistogram& a, const GhHistogram& b) {
 // and GhPerCellContributions go through this helper, so the per-cell
 // breakdown reproduces the scalar sum bit for bit regardless of how the
 // compiler contracts the multiplies.
-inline GhCellContribution GhCellTerms(const GhHistogram& a,
-                                      const GhHistogram& b, size_t i) {
+inline GhCellContribution GhCellTerms(const GhCellStats& a,
+                                      const GhCellStats& b) {
   GhCellContribution t;
-  t.c1_o2 = a.c()[i] * b.o()[i];
-  t.o1_c2 = a.o()[i] * b.c()[i];
-  t.h1_v2 = a.h()[i] * b.v()[i];
-  t.v1_h2 = a.v()[i] * b.h()[i];
+  t.c1_o2 = a.c * b.o;
+  t.o1_c2 = a.o * b.c;
+  t.h1_v2 = a.h * b.v;
+  t.v1_h2 = a.v * b.h;
   return t;
+}
+
+// Entry k of a histogram's statistic arrays: cell k when dense, the k-th
+// stored cell when sparse.
+inline GhCellStats Entry(const GhHistogram& hist, size_t k) {
+  return {hist.c()[k], hist.o()[k], hist.h()[k], hist.v()[k]};
+}
+
+// Calls visit(a's cell, b's cell) for every cell stored on both sides, in
+// ascending flat index: every cell when both are dense, else the sparse
+// side's stored cells, or the cells both sparse sides store.
+template <typename Visit>
+void ForEachCellStoredOnBoth(const GhHistogram& a, const GhHistogram& b,
+                             Visit&& visit) {
+  if (!a.sparse() && !b.sparse()) {
+    const size_t n = a.c().size();
+    for (size_t i = 0; i < n; ++i) visit(Entry(a, i), Entry(b, i));
+    return;
+  }
+  if (a.sparse() && b.sparse()) {
+    const std::vector<uint32_t>& ia = a.stored_cells();
+    const std::vector<uint32_t>& ib = b.stored_cells();
+    size_t ka = 0;
+    size_t kb = 0;
+    while (ka < ia.size() && kb < ib.size()) {
+      if (ia[ka] < ib[kb]) {
+        ++ka;
+      } else if (ib[kb] < ia[ka]) {
+        ++kb;
+      } else {
+        visit(Entry(a, ka++), Entry(b, kb++));
+      }
+    }
+    return;
+  }
+  const bool a_sparse = a.sparse();
+  const GhHistogram& sparse = a_sparse ? a : b;
+  const GhHistogram& dense = a_sparse ? b : a;
+  const std::vector<uint32_t>& idx = sparse.stored_cells();
+  for (size_t k = 0; k < idx.size(); ++k) {
+    const GhCellStats s = Entry(sparse, k);
+    const GhCellStats d = Entry(dense, idx[k]);
+    if (a_sparse) {
+      visit(s, d);
+    } else {
+      visit(d, s);
+    }
+  }
 }
 
 }  // namespace
@@ -586,21 +704,33 @@ Result<double> EstimateGhIntersectionPoints(const GhHistogram& a,
                                             const GhHistogram& b) {
   if (const Status st = CheckGhCombinable(a, b); !st.ok()) return st;
   double ip = 0.0;
-  const size_t n = a.c().size();
-  for (size_t i = 0; i < n; ++i) {
-    ip += GhCellTerms(a, b, i).intersection_points();
-  }
+  ForEachCellStoredOnBoth(a, b, [&ip](const GhCellStats& x,
+                                      const GhCellStats& y) {
+    ip += GhCellTerms(x, y).intersection_points();
+  });
   return ip;
 }
 
 Result<std::vector<GhCellContribution>> GhPerCellContributions(
     const GhHistogram& a, const GhHistogram& b) {
   if (const Status st = CheckGhCombinable(a, b); !st.ok()) return st;
-  const size_t n = a.c().size();
+  const size_t n = static_cast<size_t>(a.grid().num_cells());
   std::vector<GhCellContribution> cells;
   cells.reserve(n);
+  // Each side's next stored entry; a cell a sparse side does not store
+  // reads as four +0.0, which is what its dense array holds.
+  size_t ka = 0;
+  size_t kb = 0;
+  const auto next = [](const GhHistogram& hist, size_t i, size_t* k) {
+    if (!hist.sparse()) return Entry(hist, i);
+    const std::vector<uint32_t>& idx = hist.stored_cells();
+    if (*k < idx.size() && idx[*k] == i) return Entry(hist, (*k)++);
+    return GhCellStats{};
+  };
   for (size_t i = 0; i < n; ++i) {
-    cells.push_back(GhCellTerms(a, b, i));
+    const GhCellStats x = next(a, i, &ka);
+    const GhCellStats y = next(b, i, &kb);
+    cells.push_back(GhCellTerms(x, y));
   }
   return cells;
 }
@@ -640,6 +770,8 @@ struct Eq1Aggregates {
 Eq1Aggregates AggregatesFrom(const GhHistogram& hist) {
   Eq1Aggregates agg;
   agg.n = static_cast<double>(hist.dataset_size());
+  // Sums the stored entries, under either storage: a cell a sparse
+  // histogram leaves out holds +0.0, which adds nothing.
   double sum_o = 0.0;
   double sum_h = 0.0;
   double sum_v = 0.0;
@@ -729,8 +861,9 @@ Result<double> EstimateGhJoinPairsInWindow(const GhHistogram& a,
       const double weight = overlap.area() / cell_area;
       if (weight <= 0.0) continue;
       const int64_t i = grid.Flat(cx, cy);
-      ip += weight * (a.c()[i] * b.o()[i] + a.o()[i] * b.c()[i] +
-                      a.h()[i] * b.v()[i] + a.v()[i] * b.h()[i]);
+      const GhCellStats x = a.Cell(i);
+      const GhCellStats y = b.Cell(i);
+      ip += weight * (x.c * y.o + x.o * y.c + x.h * y.v + x.v * y.h);
     }
   }
   return ip / 4.0;
@@ -747,16 +880,16 @@ struct QueryCombineSink {
   double ip = 0.0;
 
   void Corner(int64_t idx, double amount) {
-    ip += amount * hist->o()[idx];
+    ip += amount * hist->Cell(idx).o;
   }
   void Area(int64_t idx, double amount) {
-    ip += amount * hist->c()[idx];
+    ip += amount * hist->Cell(idx).c;
   }
   void Horizontal(int64_t idx, double amount) {
-    ip += amount * hist->v()[idx];
+    ip += amount * hist->Cell(idx).v;
   }
   void Vertical(int64_t idx, double amount) {
-    ip += amount * hist->h()[idx];
+    ip += amount * hist->Cell(idx).h;
   }
 };
 
@@ -769,6 +902,8 @@ double EstimateGhRangeCount(const GhHistogram& hist, const Rect& query) {
 }
 
 uint64_t GhHistogram::NonEmptyCells() const {
+  // Counts stored entries, under either storage: a cell a sparse histogram
+  // leaves out is empty.
   uint64_t count = 0;
   for (size_t i = 0; i < c_.size(); ++i) {
     if (c_[i] != 0.0 || o_[i] != 0.0 || h_[i] != 0.0 || v_[i] != 0.0) {
@@ -784,7 +919,7 @@ uint64_t GhHistogram::FileBytes(FileFormat format) const {
   const uint64_t header = 4 + 1 + 1 + 1 + 4 + 32 + 8 + 4 + name_.size();
   const uint64_t trailer = 4;
   if (format == FileFormat::kDense) {
-    return header + 4 * (8 + c_.size() * 8) + trailer;
+    return header + 4 * (8 + grid_.num_cells() * 8) + trailer;
   }
   return header + 8 + NonEmptyCells() * (8 + 4 * 8) + trailer;
 }
@@ -802,21 +937,31 @@ Status GhHistogram::Save(const std::string& path, FileFormat format) const {
   w.PutU64(n_);
   w.PutString(name_);
   if (format == FileFormat::kDense) {
-    w.PutDoubleVector(c_);
-    w.PutDoubleVector(o_);
-    w.PutDoubleVector(h_);
-    w.PutDoubleVector(v_);
-  } else {
-    w.PutU64(NonEmptyCells());
-    for (size_t i = 0; i < c_.size(); ++i) {
-      if (c_[i] == 0.0 && o_[i] == 0.0 && h_[i] == 0.0 && v_[i] == 0.0) {
+    for (const std::vector<double>* stat : {&c_, &o_, &h_, &v_}) {
+      if (!sparse_) {
+        w.PutDoubleVector(*stat);
         continue;
       }
-      w.PutU64(i);
-      w.PutDouble(c_[i]);
-      w.PutDouble(o_[i]);
-      w.PutDouble(h_[i]);
-      w.PutDouble(v_[i]);
+      // The dense array: +0.0 where no cell is stored.
+      const uint64_t cells = static_cast<uint64_t>(grid_.num_cells());
+      w.PutU64(cells);
+      size_t k = 0;
+      for (uint64_t i = 0; i < cells; ++i) {
+        const bool here = k < stored_.size() && stored_[k] == i;
+        w.PutDouble(here ? (*stat)[k++] : 0.0);
+      }
+    }
+  } else {
+    w.PutU64(NonEmptyCells());
+    for (size_t k = 0; k < c_.size(); ++k) {
+      if (c_[k] == 0.0 && o_[k] == 0.0 && h_[k] == 0.0 && v_[k] == 0.0) {
+        continue;
+      }
+      w.PutU64(sparse_ ? stored_[k] : k);
+      w.PutDouble(c_[k]);
+      w.PutDouble(o_[k]);
+      w.PutDouble(h_[k]);
+      w.PutDouble(v_[k]);
     }
   }
   return WriteFile(path, w.SealEnvelope());

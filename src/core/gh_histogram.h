@@ -2,6 +2,7 @@
 #define SJSEL_CORE_GH_HISTOGRAM_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,14 @@ enum class GhVariant {
   kBasic,
 };
 
+/// One grid cell's four GH statistics (see GhHistogram).
+struct GhCellStats {
+  double c = 0.0;
+  double o = 0.0;
+  double h = 0.0;
+  double v = 0.0;
+};
+
 /// The Geometric Histogram: per grid cell, enough information to estimate
 /// the number of *intersection points* contributed by this dataset when
 /// joined with another GH histogram over the same grid.
@@ -39,6 +48,11 @@ enum class GhVariant {
 /// corners and nothing else; a horizontal segment contributes 2 coincident
 /// horizontal edges — exactly what keeps "intersection points per pair = 4"
 /// true for degenerate intersections.
+///
+/// Storage: Build, CreateEmpty and Load store every cell (dense). Compact
+/// turns a built histogram into a read-only one that stores only its
+/// non-empty cells (sparse) when that takes fewer bytes. Both storages
+/// describe the same cells and give bit-identical estimates.
 ///
 /// Thread-safety: GhHistogram is a value type with no hidden shared state.
 /// Concurrent const access (estimates, accessors, Save) is safe; AddRect /
@@ -73,6 +87,7 @@ class GhHistogram {
   /// Incremental maintenance: folds one MBR into the histogram. All GH
   /// cell statistics are plain sums, so insertions commute with Build —
   /// CreateEmpty + AddRect over a dataset is bit-identical to Build.
+  /// AddRect and RemoveRect need a dense histogram.
   void AddRect(const Rect& r);
 
   /// Incremental maintenance: removes one previously added MBR. The caller
@@ -85,22 +100,50 @@ class GhHistogram {
   /// Merges another histogram of the same grid/variant into this one —
   /// the histogram of the union (bag semantics) of the two datasets.
   /// GH statistics are additive, so this is exact, enabling per-partition
-  /// builds that are folded together afterwards.
+  /// builds that are folded together afterwards. Both histograms must be
+  /// dense.
   Status Merge(const GhHistogram& other);
+
+  /// `hist` as a read-only summary: its cells stored sparse when that
+  /// takes fewer bytes than dense (36 B per stored cell against 32 B per
+  /// cell), else `hist` itself, moved rather than copied. A cell is stored
+  /// unless its four statistics are all +0.0, so the sparse cells expand
+  /// back to the dense arrays bit for bit.
+  static std::shared_ptr<const GhHistogram> Compact(GhHistogram hist);
 
   const Grid& grid() const { return grid_; }
   GhVariant variant() const { return variant_; }
   uint64_t dataset_size() const { return n_; }
   const std::string& dataset_name() const { return name_; }
 
+  /// True when only the stored cells are kept (see Compact).
+  bool sparse() const { return sparse_; }
+
+  /// The statistic arrays. Dense: one entry per cell, by flat row-major
+  /// index. Sparse: one entry per stored cell, in stored_cells() order. A
+  /// reader that indexes them by cell must hold a dense histogram; Cell()
+  /// reads either storage.
   const std::vector<double>& c() const { return c_; }
   const std::vector<double>& o() const { return o_; }
   const std::vector<double>& h() const { return h_; }
   const std::vector<double>& v() const { return v_; }
 
+  /// Sparse storage: the ascending flat indices of the stored cells.
+  /// Empty when dense.
+  const std::vector<uint32_t>& stored_cells() const { return stored_; }
+
+  /// Cell `i`'s statistics under either storage; a cell a sparse
+  /// histogram does not store reads as four +0.0, as its dense array
+  /// holds. O(log stored cells) when sparse.
+  GhCellStats Cell(int64_t i) const;
+
   /// Histogram-file footprint: 4 doubles per cell (the paper's space-cost
   /// numerator).
   uint64_t NominalBytes() const { return grid_.num_cells() * 4 * 8; }
+
+  /// Bytes the cell payload takes in memory: NominalBytes() when dense,
+  /// 36 per stored cell when sparse.
+  uint64_t StoredBytes() const;
 
   /// On-disk layout of the cell payload. At fine gridding levels most
   /// cells of a skewed dataset are empty (the paper notes the histogram
@@ -108,7 +151,9 @@ class GhHistogram {
   /// non-empty cells as (index, c, o, h, v) records.
   enum class FileFormat { kDense, kSparse };
 
-  /// Writes the histogram file (magic + header + cell payload + CRC).
+  /// Writes the histogram file (magic + header + cell payload + CRC). A
+  /// sparse histogram writes the bytes of the dense one it was compacted
+  /// from, in either format.
   Status Save(const std::string& path,
               FileFormat format = FileFormat::kDense) const;
 
@@ -130,6 +175,8 @@ class GhHistogram {
   GhVariant variant_;
   uint64_t n_ = 0;
   std::string name_;
+  bool sparse_ = false;
+  std::vector<uint32_t> stored_;
   std::vector<double> c_;
   std::vector<double> o_;
   std::vector<double> h_;
@@ -138,7 +185,14 @@ class GhHistogram {
 
 /// Estimated number of intersection points between the datasets behind `a`
 /// and `b` (Equation 5 / Equation 4 of the paper). The histograms must have
-/// compatible grids and the same variant.
+/// compatible grids and the same variant; either may be sparse.
+///
+/// The sum runs over the cells stored on both sides, in ascending flat
+/// index: every cell when both are dense, else the sparse side's stored
+/// cells, or a merge of both sides' lists. It is bit-identical to the
+/// dense sum over all cells for finite statistics: a skipped cell has
+/// four +0.0 statistics on one side, so its terms are ±0, and adding ±0 to
+/// a sum that starts at +0 changes no bit.
 Result<double> EstimateGhIntersectionPoints(const GhHistogram& a,
                                             const GhHistogram& b);
 
@@ -164,7 +218,9 @@ struct GhCellContribution {
 
 /// Per-cell breakdown of EstimateGhIntersectionPoints: element i is cell
 /// i's share (flat row-major index). Same compatibility requirements as
-/// the scalar estimate.
+/// the scalar estimate. Every cell is evaluated, a cell a sparse side does
+/// not store as four +0.0 statistics, so a sparse input gives the same
+/// elements as the dense histogram it was compacted from.
 Result<std::vector<GhCellContribution>> GhPerCellContributions(
     const GhHistogram& a, const GhHistogram& b);
 

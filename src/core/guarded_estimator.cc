@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "core/gh_histogram.h"
 #include "core/parametric.h"
@@ -20,12 +21,12 @@
 
 namespace sjsel {
 
-// One input's GH summary: the histogram of its rects on the grid it was
-// last built for, which is also its key. `mu` guards `hist` and is held
-// across a build.
+// One input's GH summaries: the histograms of its rects on the last
+// kGhSummaryGrids grids asked for, most recently used first; each one's
+// grid is its key. `mu` guards `held` and is held across a build.
 struct GhSummarySlot {
   std::mutex mu;
-  std::shared_ptr<const GhHistogram> hist;
+  std::vector<std::shared_ptr<const GhHistogram>> held;
 };
 
 namespace {
@@ -114,21 +115,14 @@ bool SameGrid(const Rect& x, const Rect& y) {
          SameBits(x.max_x, y.max_x) && SameBits(x.max_y, y.max_y);
 }
 
-// A summary is kept only when it is no larger than the rects it
-// summarizes: 4^level cells of four doubles each, against rects of four
-// doubles each. The level check only keeps the shift defined; Build
-// rejects levels above 15, and a failed build is never stored.
-bool WorthKeeping(size_t rects, int level) {
-  return level >= 0 && level < 32 &&
-         rects >= (uint64_t{1} << (2 * level));
-}
-
+// The histogram of `rects` on the grid, stored sparse when that is
+// smaller (GhHistogram::Compact).
 Result<std::shared_ptr<const GhHistogram>> BuildGh(const Dataset& rects,
                                                    const Rect& extent,
                                                    int level) {
   auto built = GhHistogram::Build(rects, extent, level);
   if (!built.ok()) return built.status();
-  return std::make_shared<const GhHistogram>(std::move(built).value());
+  return GhHistogram::Compact(std::move(built).value());
 }
 
 // The rung's raw pair count on the pair's rects and frame. The GH rung
@@ -193,25 +187,38 @@ EstimateOutcome ClampPairCount(double raw_pairs, double n1, double n2,
   return out;
 }
 
-std::shared_ptr<const GhHistogram> PreparedInput::GhSummary() const {
-  if (gh_slot == nullptr) return nullptr;
+std::vector<std::shared_ptr<const GhHistogram>> PreparedInput::GhSummaries()
+    const {
+  if (gh_slot == nullptr) return {};
   std::lock_guard<std::mutex> lock(gh_slot->mu);
-  return gh_slot->hist;
+  return gh_slot->held;
+}
+
+std::shared_ptr<const GhHistogram> PreparedInput::GhSummary() const {
+  const auto held = GhSummaries();
+  return held.empty() ? nullptr : held.front();
 }
 
 Result<std::shared_ptr<const GhHistogram>> PreparedInput::GhHistogramOn(
     const Rect& extent, int level) const {
-  if (gh_slot == nullptr || !WorthKeeping(rects().size(), level)) {
-    return BuildGh(rects(), extent, level);
-  }
+  if (gh_slot == nullptr) return BuildGh(rects(), extent, level);
   std::lock_guard<std::mutex> lock(gh_slot->mu);
-  if (gh_slot->hist != nullptr && gh_slot->hist->grid().level() == level &&
-      SameGrid(gh_slot->hist->grid().extent(), extent)) {
-    SJSEL_METRIC_INC("hist.gh.summary_hits");
-    return gh_slot->hist;
+  auto& held = gh_slot->held;
+  for (auto it = held.begin(); it != held.end(); ++it) {
+    if ((*it)->grid().level() == level &&
+        SameGrid((*it)->grid().extent(), extent)) {
+      SJSEL_METRIC_INC("hist.gh.summary_hits");
+      std::rotate(held.begin(), it, it + 1);
+      return held.front();
+    }
   }
   auto built = BuildGh(rects(), extent, level);
-  if (built.ok()) gh_slot->hist = *built;
+  if (!built.ok()) return built;
+  held.insert(held.begin(), *built);
+  if (held.size() > kGhSummaryGrids) {
+    held.pop_back();
+    SJSEL_METRIC_INC("hist.gh.summary_evictions");
+  }
   return built;
 }
 

@@ -17,6 +17,11 @@ namespace sjsel {
 class GhHistogram;
 struct GhSummarySlot;
 
+/// Grids an input keeps a GH summary for: its pairs' common grid plus one
+/// more (a partner off the common extent, an explain at another level or
+/// a stream's grid), so the other grid does not evict the common one.
+inline constexpr size_t kGhSummaryGrids = 2;
+
 /// One pair-count estimate.
 struct EstimateOutcome {
   double estimated_pairs = 0.0;
@@ -138,9 +143,10 @@ struct GuardedEstimatorOptions {
 /// from `source` (see PairDependent).
 ///
 /// An input also carries one GH summary slot, which GhHistogramOn fills
-/// and reads for the chain's GH rung and explain's GH table: the GH
-/// histogram of rects() on the grid of the last pair that asked for one,
-/// so every later pair on that grid skips the build.
+/// and reads for the chain's GH rung, explain's GH table and the stream
+/// estimate: the GH histograms of rects() on the last kGhSummaryGrids
+/// grids asked for, so every later pair on one of those grids skips the
+/// build.
 struct PreparedInput {
   /// The dataset as given. Borrowed: it must outlive this object.
   const Dataset* source = nullptr;
@@ -168,16 +174,20 @@ struct PreparedInput {
     return policy == ValidationPolicy::kClampToExtent && counters.inverted > 0;
   }
 
-  /// The GH summary the slot holds now, or null.
+  /// The GH summaries the slot holds now, most recently used first.
+  std::vector<std::shared_ptr<const GhHistogram>> GhSummaries() const;
+
+  /// The most recently used GH summary, or null.
   std::shared_ptr<const GhHistogram> GhSummary() const;
 
-  /// The GH histogram of rects() on the (extent, level) grid: the summary
-  /// when it was built on that grid (extent compared bitwise), else a
-  /// build, which replaces the summary when the input has at least
-  /// 4^level rects, so a summary is never larger than the rects it
-  /// summarizes. An input without a slot builds and keeps nothing. The
-  /// slot's lock is held across a build, so concurrent callers wait for
-  /// one build.
+  /// The GH histogram of rects() on the (extent, level) grid: a summary
+  /// built on that grid (extent compared bitwise), else a build, stored
+  /// sparse when that is smaller (GhHistogram::Compact) and kept as the
+  /// most recently used summary. A build on a grid beyond the
+  /// kGhSummaryGrids held evicts the least recently used one
+  /// (hist.gh.summary_evictions). A failed build is never kept. An input
+  /// without a slot builds and keeps nothing. The slot's lock is held
+  /// across a build, so concurrent callers wait for one build.
   Result<std::shared_ptr<const GhHistogram>> GhHistogramOn(const Rect& extent,
                                                            int level) const;
 };

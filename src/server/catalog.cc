@@ -121,10 +121,10 @@ ServerCatalog::CacheStats ServerCatalog::Stats() const {
   // read without the catalog lock.
   for (const auto& entry : entries) {
     if (!entry->prepared.ok()) continue;
-    const auto summary = entry->prepared->GhSummary();
-    if (summary == nullptr) continue;
-    ++stats.gh_summaries;
-    stats.gh_summary_bytes += summary->NominalBytes();
+    for (const auto& summary : entry->prepared->GhSummaries()) {
+      ++stats.gh_summaries;
+      stats.gh_summary_bytes += summary->StoredBytes();
+    }
   }
   return stats;
 }

@@ -7,8 +7,9 @@
 // millions of times pays the load/validate/build cost once. Thread-safe;
 // see docs/SERVER.md "The catalog".
 //
-// Each entry's prepared input also holds at most one GH summary (see
-// GuardedEstimator), which the entry's pairs on the same grid share.
+// Each entry's prepared input also holds GH summaries on up to
+// kGhSummaryGrids grids (see PreparedInput::GhHistogramOn), which the
+// entry's pairs and stream estimates on those grids share.
 //
 // Entries are keyed by *file path*, and the pair cache keeps guarded-chain
 // results with their provenance.
@@ -76,9 +77,10 @@ class ServerCatalog {
   /// consistent point-in-time snapshot under the catalog lock;
   /// `poisoned_streams` is how many open streams have a failed WAL (their
   /// mutating ops return FailedPrecondition until reopened).
-  /// `gh_summaries` is how many entries' prepared inputs hold a GH summary
-  /// and `gh_summary_bytes` the sum of their NominalBytes(), read from
-  /// each entry after the catalog lock is released.
+  /// `gh_summaries` is how many GH summaries the entries' prepared inputs
+  /// hold, one per grid, and `gh_summary_bytes` the sum of their
+  /// StoredBytes(), sparse or dense, read from each entry after the
+  /// catalog lock is released.
   struct CacheStats {
     size_t datasets = 0;
     size_t estimates = 0;

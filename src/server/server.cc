@@ -713,10 +713,13 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
     // Estimates are served from the immutable snapshot — a consistent
     // (base + sealed deltas) view that concurrent Applies never mutate.
     const auto snap = (*ingest)->snapshot();
-    // b is binned once per request; the audit's reference shares the grid.
-    const auto bh = stream::BuildOnStreamGrid(snap->gh, pb);
+    // b's histogram on the stream's grid comes from b's summary slot, so a
+    // later request with the same b builds nothing; the audit's reference
+    // shares the grid.
+    const auto bh = pb.GhHistogramOn(snap->gh.grid().extent(),
+                                     snap->gh.grid().level());
     if (!bh.ok()) return fail_status(bh.status());
-    const auto est = stream::EstimateStreamJoin(snap->gh, pb, *bh);
+    const auto est = stream::EstimateStreamJoin(snap->gh, pb, **bh);
     if (!est.ok()) return fail_status(est.status());
     if (ShouldAudit()) {
       // The reference folds the not-yet-sealed active delta in, so the
@@ -725,7 +728,7 @@ std::string Server::Dispatch(const Request& req, std::string* note) {
       SJSEL_TRACE_SPAN("server.audit");
       const auto full = (*ingest)->MaterializeState();
       if (full.ok()) {
-        const auto ref = stream::EstimateStreamJoin(full->gh, pb, *bh);
+        const auto ref = stream::EstimateStreamJoin(full->gh, pb, **bh);
         if (ref.ok()) {
           PublishAuditResult(req, "materialized", est->estimated_pairs,
                              ref->estimated_pairs);

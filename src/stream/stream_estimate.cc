@@ -3,12 +3,6 @@
 namespace sjsel {
 namespace stream {
 
-Result<GhHistogram> BuildOnStreamGrid(const GhHistogram& stream_gh,
-                                      const PreparedInput& b) {
-  return GhHistogram::Build(b.rects(), stream_gh.grid().extent(),
-                            stream_gh.grid().level());
-}
-
 Result<StreamJoinEstimate> EstimateStreamJoin(const GhHistogram& stream_gh,
                                               const PreparedInput& b,
                                               const GhHistogram& b_gh) {

@@ -20,19 +20,16 @@ struct StreamJoinEstimate {
   RobustnessCounters validation_b;
 };
 
-/// The GH histogram of b's validated rects on the grid of `stream_gh`,
-/// which every state of the stream shares (snapshots, MaterializeState()).
-Result<GhHistogram> BuildOnStreamGrid(const GhHistogram& stream_gh,
-                                      const PreparedInput& b);
-
 /// Estimates the join of a stream state with dataset `b`. `stream_gh` is
 /// the stream's GH histogram: a snapshot's, or MaterializeState()'s. It is
-/// combined with `b_gh`, BuildOnStreamGrid(stream_gh, b), and the answer
-/// is clamped into [0, N1 * N2], where N1 is the stream's rect count and
-/// N2 the count of b's validated rects. Under kReject a defective `b`
-/// fails earlier, in PrepareInput, with the error `estimate` gives. The
-/// server's `stream_estimate` op, its audit and `sjsel ingest --estimate`
-/// all answer through this function.
+/// combined with `b_gh`, b's histogram on the stream's grid, which every
+/// state of the stream shares: b.GhHistogramOn(stream_gh.grid().extent(),
+/// stream_gh.grid().level()), so b's summary slot keeps it for the next
+/// call. The answer is clamped into [0, N1 * N2], where N1 is the stream's
+/// rect count and N2 the count of b's validated rects. Under kReject a
+/// defective `b` fails earlier, in PrepareInput, with the error `estimate`
+/// gives. The server's `stream_estimate` op, its audit and `sjsel ingest
+/// --estimate` all answer through this function.
 Result<StreamJoinEstimate> EstimateStreamJoin(const GhHistogram& stream_gh,
                                               const PreparedInput& b,
                                               const GhHistogram& b_gh);

@@ -297,6 +297,7 @@ class GhSummaryTest : public ::testing::Test {
   }
   static uint64_t Builds() { return Count("hist.gh.builds"); }
   static uint64_t Hits() { return Count("hist.gh.summary_hits"); }
+  static uint64_t Evictions() { return Count("hist.gh.summary_evictions"); }
 
   PreparedInput Prepare(const Dataset& ds) const {
     auto prepared = PrepareInput(ds, options_.policy);
@@ -364,7 +365,7 @@ TEST_F(GhSummaryTest, PartnerOnTheSameGridReusesTheSummary) {
   ExpectUnsummarized(second, a_, c_);
 }
 
-TEST_F(GhSummaryTest, PartnerOnAnotherGridReplacesTheSummary) {
+TEST_F(GhSummaryTest, PartnerOnAnotherGridKeepsBothSummaries) {
   const PreparedInput a = Prepare(a_);
   const PreparedInput b = Prepare(b_);
   const PreparedInput wide = Prepare(wide_);
@@ -373,16 +374,48 @@ TEST_F(GhSummaryTest, PartnerOnAnotherGridReplacesTheSummary) {
   const EstimateResult moved = Estimate(a, wide);
   EXPECT_EQ(Builds(), builds + 2);
   ExpectUnsummarized(moved, a_, wide_);
-  // The slot holds one summary, the latest grid's: going back to b's grid
-  // rebuilds a while b still has its own.
+  // The slot keeps both grids, the latest one first: going back to b's
+  // grid builds nothing.
   ExpectSummaryOn(a, Joint(a_, wide_), kLevel);
+  EXPECT_EQ(a.GhSummaries().size(), 2u);
   builds = Builds();
   const uint64_t hits = Hits();
   const EstimateResult back = Estimate(a, b);
-  EXPECT_EQ(Builds(), builds + 1);
-  EXPECT_EQ(Hits(), hits + 1);
+  EXPECT_EQ(Builds(), builds);
+  EXPECT_EQ(Hits(), hits + 2);
   ExpectSummaryOn(a, Joint(a_, b_), kLevel);
   ExpectUnsummarized(back, a_, b_);
+}
+
+TEST_F(GhSummaryTest, ThirdGridEvictsTheLeastRecentlyUsed) {
+  const Dataset far = Framed(Uniform("far", 200, Rect(0, 0, 3, 3), 28),
+                             Rect(0, 0, 3, 3));
+  const PreparedInput a = Prepare(a_);
+  const PreparedInput b = Prepare(b_);
+  const PreparedInput wide = Prepare(wide_);
+  const PreparedInput pf = Prepare(far);
+  ASSERT_EQ(kGhSummaryGrids, 2u);
+  Estimate(a, b);     // a holds [0,1]^2
+  Estimate(a, wide);  // a holds [0,2]^2, [0,1]^2
+  Estimate(a, b);     // a holds [0,1]^2, [0,2]^2: a hit moves it first
+  uint64_t builds = Builds();
+  uint64_t evictions = Evictions();
+  const EstimateResult third = Estimate(a, pf);
+  EXPECT_EQ(Builds(), builds + 2);
+  EXPECT_EQ(Evictions(), evictions + 1);  // [0,2]^2, used least recently
+  ExpectUnsummarized(third, a_, far);
+  ExpectSummaryOn(a, Joint(a_, far), kLevel);
+  EXPECT_EQ(a.GhSummaries().size(), 2u);
+
+  builds = Builds();
+  evictions = Evictions();
+  Estimate(a, b);  // [0,1]^2 is still held
+  EXPECT_EQ(Builds(), builds);
+  EXPECT_EQ(Evictions(), evictions);
+  const EstimateResult back = Estimate(a, wide);  // rebuilds a only
+  EXPECT_EQ(Builds(), builds + 1);
+  EXPECT_EQ(Evictions(), evictions + 1);
+  ExpectUnsummarized(back, a_, wide_);
 }
 
 TEST_F(GhSummaryTest, AnotherLevelNeverReusesTheSummary) {
@@ -399,7 +432,9 @@ TEST_F(GhSummaryTest, AnotherLevelNeverReusesTheSummary) {
   ExpectUnsummarized(coarser, a_, b_);
 }
 
-TEST_F(GhSummaryTest, InputsBelowTheCellCountKeepNoSummary) {
+TEST_F(GhSummaryTest, SmallInputsKeepASummary) {
+  // Fewer rects than the 4^4 cells: the summaries are kept all the same,
+  // stored sparse since few cells are occupied.
   const Dataset small_a = Framed(Uniform("sa", 200, Rect(0, 0, 1, 1), 25),
                                  Rect(0, 0, 1, 1));
   const Dataset small_b = Framed(Uniform("sb", 100, Rect(0, 0, 1, 1), 26),
@@ -411,12 +446,13 @@ TEST_F(GhSummaryTest, InputsBelowTheCellCountKeepNoSummary) {
     const uint64_t builds = Builds();
     const uint64_t hits = Hits();
     const EstimateResult result = Estimate(pa, pb);
-    EXPECT_EQ(Builds(), builds + 2);
-    EXPECT_EQ(Hits(), hits);
+    EXPECT_EQ(Builds(), builds + (round == 0 ? 2 : 0));
+    EXPECT_EQ(Hits(), hits + (round == 0 ? 0 : 2));
     ExpectUnsummarized(result, small_a, small_b);
   }
-  EXPECT_EQ(pa.GhSummary(), nullptr);
-  EXPECT_EQ(pb.GhSummary(), nullptr);
+  ExpectSummaryOn(pa, Joint(small_a, small_b), kLevel);
+  ExpectSummaryOn(pb, Joint(small_a, small_b), kLevel);
+  EXPECT_TRUE(pb.GhSummary()->sparse());
 }
 
 TEST_F(GhSummaryTest, PairDependentInputKeepsNoSummary) {

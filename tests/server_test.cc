@@ -241,15 +241,27 @@ TEST_F(ServerTest, PlanReusesAPairEstimateAlreadyServed) {
       &server, R"({"op":"plan","paths":[")" + a_path_ + R"(",")" + b_path_ +
                    R"(",")" + c_path_ + R"("]})");
   ASSERT_TRUE(response.Find("ok")->bool_value()) << ErrorCode(response);
-  // (a, b) is a hit; (a, c) and (b, c) are built, two histograms each.
+  // (a, b) is a hit. a spans [0,1]^2, so (a, c) shares (a, b)'s grid,
+  // where a keeps its summary: only c is built. (b, c) is on a grid of
+  // its own and builds both.
   EXPECT_EQ(Counter(&server, "server.catalog.estimate_hits"), hits + 1.0);
   EXPECT_EQ(Counter(&server, "server.catalog.estimate_misses"), misses + 2.0);
-  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 4.0);
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 3.0);
+}
+
+// The bytes of `path`'s GH summary on `frame` at `level`: the histogram
+// stored sparse when that is smaller, as the catalog keeps it.
+uint64_t SummaryBytes(const std::string& path, const Rect& frame, int level) {
+  const auto ds = Dataset::Load(path);
+  EXPECT_TRUE(ds.ok());
+  auto built = GhHistogram::Build(*ds, frame, level);
+  EXPECT_TRUE(built.ok());
+  return GhHistogram::Compact(std::move(built).value())->StoredBytes();
 }
 
 TEST_F(ServerTest, PairOnASharedGridReusesTheInputsSummary) {
-  // Inputs framed to one [0,1]^2 extent and a level whose 4^level cells
-  // they reach: (a, c) after (a, b) builds only c.
+  // Inputs framed to one [0,1]^2 extent: (a, c) after (a, b) builds only
+  // c.
   ServerOptions options;
   options.estimator.gh_level = 4;
   Server server(options);
@@ -287,8 +299,15 @@ TEST_F(ServerTest, PairOnASharedGridReusesTheInputsSummary) {
   const JsonValue* result = health.Find("result");
   ASSERT_TRUE(result != nullptr);
   EXPECT_EQ(result->Find("gh_summaries")->number_value(), 3.0);
+  // The bytes actually stored: the 800- and 600-rect inputs occupy most of
+  // the 256 cells and stay dense; the 400-rect one is stored sparse.
+  uint64_t bytes = 0;
+  for (const std::string& path : paths) {
+    bytes += SummaryBytes(path, Rect(0, 0, 1, 1), 4);
+  }
   EXPECT_EQ(result->Find("gh_summary_bytes")->number_value(),
-            3.0 * 256 * 4 * 8);
+            static_cast<double>(bytes));
+  EXPECT_LT(bytes, 3u * 256 * 4 * 8);
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
@@ -395,9 +414,31 @@ TEST_F(ServerTest, ExplainOfANameWithAControlCharacterIsValidJson) {
             "tab\tname");
 }
 
+TEST_F(ServerTest, ExplainAtAnotherLevelLeavesTheChainsGrid) {
+  // An explain at level 5 adds a second grid to a's and b's slots; their
+  // level-4 summaries stay, so (a, c) builds only c.
+  ServerOptions options;
+  options.estimator.gh_level = 4;
+  Server server(options);
+  ASSERT_TRUE(
+      Handle(&server, EstimateLine(a_path_, b_path_)).Find("ok")->bool_value());
+  ASSERT_TRUE(
+      Handle(&server, ExplainLine(a_path_, b_path_, 5)).Find("ok")->bool_value());
+  const double builds = Counter(&server, "hist.gh.builds");
+  const double hits = Counter(&server, "hist.gh.summary_hits");
+  const double evictions = Counter(&server, "hist.gh.summary_evictions");
+  ASSERT_TRUE(
+      Handle(&server, EstimateLine(a_path_, c_path_)).Find("ok")->bool_value());
+  EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 1.0);
+  EXPECT_EQ(Counter(&server, "hist.gh.summary_hits"), hits + 1.0);
+  EXPECT_EQ(Counter(&server, "hist.gh.summary_evictions"), evictions);
+  const JsonValue health = Handle(&server, R"({"op":"health"})");
+  EXPECT_EQ(health.Find("result")->Find("gh_summaries")->number_value(), 5.0);
+}
+
 TEST_F(ServerTest, EstimateAfterExplainAtAnotherLevelIsBitIdentical) {
-  // An explain at level 5 replaces the level-4 summaries of a and b; the
-  // next estimate on each input rebuilds once and answers the same bits.
+  // An explain at level 5 adds level-5 summaries of a and b; the next
+  // estimates at level 4 answer the bits a fresh server answers.
   ServerOptions options;
   options.estimator.gh_level = 4;
   Server server(options);
@@ -587,9 +628,19 @@ TEST_F(ServerTest, HealthOpReportsServerState) {
   EXPECT_GE(result->Find("uptime_s")->number_value(), 0.0);
   EXPECT_GE(result->Find("datasets_cached")->number_value(), 2.0);
   EXPECT_GE(result->Find("estimates_cached")->number_value(), 1.0);
-  // 800 and 600 rects are below 4^7: neither input keeps a summary.
-  EXPECT_EQ(result->Find("gh_summaries")->number_value(), 0.0);
-  EXPECT_EQ(result->Find("gh_summary_bytes")->number_value(), 0.0);
+  // Both inputs keep a summary on the pair's level-7 grid. 800 and 600
+  // rects occupy few of its 16,384 cells, so both are stored sparse.
+  EXPECT_EQ(result->Find("gh_summaries")->number_value(), 2.0);
+  const auto a = Dataset::Load(a_path_);
+  const auto b = Dataset::Load(b_path_);
+  ASSERT_TRUE(a.ok() && b.ok());
+  Rect frame = a->ComputeExtent();
+  frame.Extend(b->ComputeExtent());
+  const uint64_t bytes =
+      SummaryBytes(a_path_, frame, 7) + SummaryBytes(b_path_, frame, 7);
+  EXPECT_EQ(result->Find("gh_summary_bytes")->number_value(),
+            static_cast<double>(bytes));
+  EXPECT_LT(bytes, 2u * 16384 * 4 * 8);
   EXPECT_EQ(result->Find("streams_open")->number_value(), 0.0);
   EXPECT_EQ(result->Find("streams_poisoned")->number_value(), 0.0);
 }
@@ -969,7 +1020,9 @@ TEST_F(ServerTest, StreamEstimateIsClampedLikeEstimate) {
 
 TEST_F(ServerTest, AuditedStreamEstimateBuildsBOnce) {
   // The snapshot and MaterializeState() share the stream's grid, so one
-  // build of b serves both the answer and the audit's reference.
+  // build of b serves both the answer and the audit's reference, and b's
+  // summary slot keeps it: a second request with the same b builds
+  // nothing.
   ServerOptions options;
   options.audit_rate = 1.0;
   Server server(options);
@@ -982,7 +1035,8 @@ TEST_F(ServerTest, AuditedStreamEstimateBuildsBOnce) {
     const double audits = Counter(&server, "accuracy.audits");
     const JsonValue est = Handle(&server, line);
     ASSERT_TRUE(est.Find("ok")->bool_value()) << ErrorCode(est);
-    EXPECT_EQ(Counter(&server, "hist.gh.builds"), builds + 1.0);
+    EXPECT_EQ(Counter(&server, "hist.gh.builds"),
+              builds + (i == 0 ? 1.0 : 0.0));
     EXPECT_EQ(Counter(&server, "accuracy.audits"), audits + 1.0);
   }
   RemoveStream(dir);
