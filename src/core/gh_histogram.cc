@@ -714,23 +714,11 @@ Result<double> EstimateGhIntersectionPoints(const GhHistogram& a,
 Result<std::vector<GhCellContribution>> GhPerCellContributions(
     const GhHistogram& a, const GhHistogram& b) {
   if (const Status st = CheckGhCombinable(a, b); !st.ok()) return st;
-  const size_t n = static_cast<size_t>(a.grid().num_cells());
+  const int64_t n = a.grid().num_cells();
   std::vector<GhCellContribution> cells;
-  cells.reserve(n);
-  // Each side's next stored entry; a cell a sparse side does not store
-  // reads as four +0.0, which is what its dense array holds.
-  size_t ka = 0;
-  size_t kb = 0;
-  const auto next = [](const GhHistogram& hist, size_t i, size_t* k) {
-    if (!hist.sparse()) return Entry(hist, i);
-    const std::vector<uint32_t>& idx = hist.stored_cells();
-    if (*k < idx.size() && idx[*k] == i) return Entry(hist, (*k)++);
-    return GhCellStats{};
-  };
-  for (size_t i = 0; i < n; ++i) {
-    const GhCellStats x = next(a, i, &ka);
-    const GhCellStats y = next(b, i, &kb);
-    cells.push_back(GhCellTerms(x, y));
+  cells.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    cells.push_back(GhCellTerms(a.Cell(i), b.Cell(i)));
   }
   return cells;
 }

@@ -128,8 +128,8 @@ class GhHistogram {
   const std::vector<double>& h() const { return h_; }
   const std::vector<double>& v() const { return v_; }
 
-  /// Sparse storage: the ascending flat indices of the stored cells.
-  /// Empty when dense.
+  /// Sparse storage: the ascending flat indices of the stored cells
+  /// (u32 covers the 4^15 cells of the finest grid). Empty when dense.
   const std::vector<uint32_t>& stored_cells() const { return stored_; }
 
   /// Cell `i`'s statistics under either storage; a cell a sparse

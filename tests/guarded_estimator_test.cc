@@ -264,8 +264,8 @@ TEST(PreparedInputTest, InputsPreparedUnderAnotherPolicyAreRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// GH summaries. Level 4 has 256 cells, so inputs of a few hundred rects
-// reach the 4^level size rule.
+// GH summaries, on level-4 grids (256 cells), which inputs of a few
+// hundred rects fill only in part.
 
 constexpr int kLevel = 4;
 
