@@ -239,8 +239,9 @@ void ExpectSameSummary(const GhHistogram& dense, const GhHistogram& sparse) {
 // Every ordered pair of `dense`, self-pairs included, under the four
 // storage pairings: the combine's bits and the per-cell breakdown equal
 // the dense × dense ones.
-void ExpectEveryPairingIdentical(const std::vector<GhHistogram>& dense,
-                                 const std::vector<const GhHistogram*>& sparse) {
+void ExpectEveryPairingIdentical(
+    const std::vector<GhHistogram>& dense,
+    const std::vector<const GhHistogram*>& sparse) {
   for (size_t i = 0; i < dense.size(); ++i) {
     for (size_t j = 0; j < dense.size(); ++j) {
       SCOPED_TRACE("pair " + std::to_string(i) + "," + std::to_string(j));
